@@ -86,13 +86,14 @@ void GroupingAblation() {
                "solve ungrouped"});
   for (const Pattern& p : {Pattern::Diamond(), Pattern::TwoTriangle()}) {
     PatternOracle oracle(p);
-    auto grouped = MakePatternFlowSolver(g, oracle, /*grouped=*/true);
-    auto ungrouped = MakePatternFlowSolver(g, oracle, /*grouped=*/false);
+    auto grouped = MakePatternFlowSolver(g, oracle, /*grouped=*/true).value();
+    auto ungrouped =
+        MakePatternFlowSolver(g, oracle, /*grouped=*/false).value();
     Timer grouped_timer;
-    grouped->Solve(1.0);
+    grouped->Solve(Density::Of(1, 1));
     double grouped_seconds = grouped_timer.Seconds();
     Timer ungrouped_timer;
-    ungrouped->Solve(1.0);
+    ungrouped->Solve(Density::Of(1, 1));
     double ungrouped_seconds = ungrouped_timer.Seconds();
     table.AddRow({p.name(), std::to_string(grouped->NumNodes()),
                   std::to_string(ungrouped->NumNodes()),

@@ -1,4 +1,4 @@
-// Figure 9: flow-network sizes across CoreExact's binary-search iterations
+// Figure 9: flow-network sizes across CoreExact's density-search iterations
 // on Ca-HepTh and As-Caida, h = 2..6.
 //
 // Paper's claim to reproduce: the core-located networks are dramatically

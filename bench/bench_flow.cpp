@@ -1,15 +1,12 @@
 // Flow-engine bench: exact and core-exact on registry datasets, sweeping
-// thread budgets and the warm-start toggle, emitting one JSON record per
-// run (BENCH_flow.json via scripts/run_bench.sh) with the FlowNetwork work
-// counters so the warm-vs-cold gap is machine-readable.
+// thread budgets, emitting one JSON record per run (BENCH_flow.json via
+// scripts/run_bench.sh) with the FlowNetwork work counters.
 //
-// Fail-loud contracts (exit 1), like bench_peel:
-//   * every run of the same algo x dataset cell must return the identical
-//     densest subgraph — bit-identical vertices and density across threads
-//     {1, 2, 4, auto} and warm/cold flow search;
-//   * on the core-exact pl-100k cell, the warm-started binary search must
-//     do strictly less discharge+relabel work than the cold ablation and
-//     must actually warm-start (warm_starts > 0).
+// Fail-loud contract (exit 1), like bench_peel: every exact run on the same
+// dataset — exact and core-exact, at threads {1, 2, 4, auto} — must return
+// the identical densest subgraph: bit-identical vertices and density. Both
+// algorithms answer with the union of all densest subgraphs, so on pl-100k
+// whole-graph and core-located search must agree at every thread count.
 //
 // exact on pl-1m (a ~4.5 s whole-graph flow per run) only joins the grid
 // under DSD_BENCH_SCALE=large.
@@ -17,6 +14,7 @@
 // Usage: bench_flow [output.json]   (stdout when no path is given)
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,7 +33,6 @@ struct Cell {
   std::string algo;     // "core-exact" | "exact"
   std::string dataset;  // registry name
   std::vector<unsigned> threads;  // 0 = auto
-  bool sweep_cold = false;        // also run flow_warm_start = false
 };
 
 struct Record {
@@ -46,12 +43,10 @@ struct Record {
   double load_ms = 0.0;
   unsigned threads_requested = 0;
   unsigned threads_effective = 0;
-  bool warm_start = true;
   double wall_seconds = 0.0;
   double density = 0.0;
   size_t result_vertices = 0;
   uint64_t max_flow_calls = 0;
-  uint64_t warm_starts = 0;
   uint64_t discharges = 0;
   uint64_t pushes = 0;
   uint64_t relabels = 0;
@@ -60,18 +55,20 @@ struct Record {
 
 int Run(std::FILE* out) {
   std::vector<Cell> cells = {
-      {"core-exact", "pl-100k", {1, 2, 4, 0}, /*sweep_cold=*/true},
-      {"core-exact", "pl-1m", {1, 4}, /*sweep_cold=*/true},
-      {"exact", "pl-100k", {1, 2, 4, 0}, /*sweep_cold=*/false},
+      {"core-exact", "pl-100k", {1, 2, 4, 0}},
+      {"core-exact", "pl-1m", {1, 4}},
+      {"exact", "pl-100k", {1, 2, 4, 0}},
   };
   const char* scale = std::getenv("DSD_BENCH_SCALE");
   if (scale != nullptr && std::string(scale) == "large") {
-    cells.push_back({"exact", "pl-1m", {1, 4}, /*sweep_cold=*/false});
+    cells.push_back({"exact", "pl-1m", {1, 4}});
   }
 
   const storage::DatasetRegistry& registry = storage::GlobalDatasetRegistry();
   CliqueOracle edge(2);
   std::vector<Record> records;
+  // First answer per dataset; every later run on it must match.
+  std::map<std::string, DensestResult> baselines;
 
   for (const Cell& cell : cells) {
     // Materialize (generate + cache) untimed; load_ms is the mmap open.
@@ -91,98 +88,55 @@ int Run(std::FILE* out) {
     const Graph graph = std::move(opened).value();
     const double load_ms = open_timer.Seconds() * 1e3;
 
-    DensestResult baseline;
-    bool have_baseline = false;
-    uint64_t warm_ops_t1 = 0, cold_ops_t1 = 0, warm_starts_t1 = 0;
-    for (const bool warm : {true, false}) {
-      if (!warm && !cell.sweep_cold) continue;
-      for (const unsigned requested : cell.threads) {
-        const unsigned effective = ResolveThreadCount(requested);
-        const ExecutionContext ctx =
-            ExecutionContext().WithThreads(effective);
-        Timer timer;
-        DensestResult result;
-        if (cell.algo == "core-exact") {
-          CoreExactOptions options;
-          options.flow_warm_start = warm;
-          result = CoreExact(graph, edge, options, ctx);
-        } else {
-          // Exact always warm-starts (no toggle in its API); the cold
-          // comparison lives on the core-exact cells.
-          result = Exact(graph, edge, ctx);
-        }
-        const double wall = timer.Seconds();
+    for (const unsigned requested : cell.threads) {
+      const unsigned effective = ResolveThreadCount(requested);
+      const ExecutionContext ctx = ExecutionContext().WithThreads(effective);
+      Timer timer;
+      const DensestResult result =
+          cell.algo == "core-exact"
+              ? CoreExact(graph, edge, CoreExactOptions(), ctx)
+              : Exact(graph, edge, ctx);
+      const double wall = timer.Seconds();
 
-        if (!have_baseline) {
-          baseline = result;
-          have_baseline = true;
-        } else if (result.vertices != baseline.vertices ||
-                   result.density != baseline.density) {
-          std::fprintf(stderr,
-                       "FAIL: %s on %s (threads=%u warm=%d) diverged from "
-                       "the sequential warm baseline\n",
-                       cell.algo.c_str(), cell.dataset.c_str(), requested,
-                       warm ? 1 : 0);
-          return 1;
-        }
-        if (requested == 1) {
-          const uint64_t ops =
-              result.stats.flow_discharges + result.stats.flow_relabels;
-          if (warm) {
-            warm_ops_t1 = ops;
-            warm_starts_t1 = result.stats.flow_warm_starts;
-          } else {
-            cold_ops_t1 = ops;
-          }
-        }
-
-        Record r;
-        r.algo = cell.algo;
-        r.dataset = cell.dataset;
-        r.vertices = graph.NumVertices();
-        r.edges = static_cast<size_t>(graph.NumEdges());
-        r.load_ms = load_ms;
-        r.threads_requested = requested;
-        r.threads_effective = effective;
-        r.warm_start = warm;
-        r.wall_seconds = wall;
-        r.density = result.density;
-        r.result_vertices = result.vertices.size();
-        r.max_flow_calls = result.stats.flow_max_flow_calls;
-        r.warm_starts = result.stats.flow_warm_starts;
-        r.discharges = result.stats.flow_discharges;
-        r.pushes = result.stats.flow_pushes;
-        r.relabels = result.stats.flow_relabels;
-        r.global_relabels = result.stats.flow_global_relabels;
-        records.push_back(r);
+      const auto [baseline, first] =
+          baselines.try_emplace(cell.dataset, result);
+      if (!first && (result.vertices != baseline->second.vertices ||
+                     result.density != baseline->second.density)) {
         std::fprintf(stderr,
-                     "%-10s %-8s threads=%u warm=%d  %.3f s  "
-                     "calls=%llu warm_starts=%llu disc=%llu relab=%llu\n",
+                     "FAIL: %s on %s (threads=%u) returned %zu vertices at "
+                     "density %.17g; the first exact run on it returned %zu "
+                     "at %.17g\n",
                      cell.algo.c_str(), cell.dataset.c_str(), requested,
-                     warm ? 1 : 0, wall,
-                     static_cast<unsigned long long>(r.max_flow_calls),
-                     static_cast<unsigned long long>(r.warm_starts),
-                     static_cast<unsigned long long>(r.discharges),
-                     static_cast<unsigned long long>(r.relabels));
-      }
-    }
-    // The acceptance contract, checked where the binary search genuinely
-    // iterates: warm-started core-exact on pl-100k must reuse preflows and
-    // do strictly less discharge+relabel work than cold-per-iteration.
-    if (cell.algo == "core-exact" && cell.dataset == "pl-100k") {
-      if (warm_starts_t1 == 0) {
-        std::fprintf(stderr,
-                     "FAIL: core-exact on pl-100k never warm-started\n");
+                     result.vertices.size(), result.density,
+                     baseline->second.vertices.size(),
+                     baseline->second.density);
         return 1;
       }
-      if (warm_ops_t1 >= cold_ops_t1) {
-        std::fprintf(stderr,
-                     "FAIL: warm-started flow search did no less work than "
-                     "cold (%llu >= %llu discharge+relabel ops)\n",
-                     static_cast<unsigned long long>(warm_ops_t1),
-                     static_cast<unsigned long long>(cold_ops_t1));
-        return 1;
-      }
+
+      Record r;
+      r.algo = cell.algo;
+      r.dataset = cell.dataset;
+      r.vertices = graph.NumVertices();
+      r.edges = static_cast<size_t>(graph.NumEdges());
+      r.load_ms = load_ms;
+      r.threads_requested = requested;
+      r.threads_effective = effective;
+      r.wall_seconds = wall;
+      r.density = result.density;
+      r.result_vertices = result.vertices.size();
+      r.max_flow_calls = result.stats.flow_max_flow_calls;
+      r.discharges = result.stats.flow_discharges;
+      r.pushes = result.stats.flow_pushes;
+      r.relabels = result.stats.flow_relabels;
+      r.global_relabels = result.stats.flow_global_relabels;
+      records.push_back(r);
+      std::fprintf(stderr,
+                   "%-10s %-8s threads=%u  %.3f s  calls=%llu disc=%llu "
+                   "relab=%llu\n",
+                   cell.algo.c_str(), cell.dataset.c_str(), requested, wall,
+                   static_cast<unsigned long long>(r.max_flow_calls),
+                   static_cast<unsigned long long>(r.discharges),
+                   static_cast<unsigned long long>(r.relabels));
     }
   }
 
@@ -193,16 +147,14 @@ int Run(std::FILE* out) {
         out,
         "    {\"algo\": \"%s\", \"dataset\": \"%s\", \"vertices\": %zu, "
         "\"edges\": %zu, \"load_ms\": %.3f, \"threads_requested\": %u, "
-        "\"threads_effective\": %u, \"warm_start\": %s, "
+        "\"threads_effective\": %u, "
         "\"wall_seconds\": %.6f, \"density\": %.6f, "
         "\"result_vertices\": %zu, \"max_flow_calls\": %llu, "
-        "\"warm_starts\": %llu, \"discharges\": %llu, \"pushes\": %llu, "
+        "\"discharges\": %llu, \"pushes\": %llu, "
         "\"relabels\": %llu, \"global_relabels\": %llu}%s\n",
         r.algo.c_str(), r.dataset.c_str(), r.vertices, r.edges, r.load_ms,
-        r.threads_requested, r.threads_effective,
-        r.warm_start ? "true" : "false", r.wall_seconds, r.density,
+        r.threads_requested, r.threads_effective, r.wall_seconds, r.density,
         r.result_vertices, static_cast<unsigned long long>(r.max_flow_calls),
-        static_cast<unsigned long long>(r.warm_starts),
         static_cast<unsigned long long>(r.discharges),
         static_cast<unsigned long long>(r.pushes),
         static_cast<unsigned long long>(r.relabels),

@@ -54,16 +54,14 @@ for target in "${targets[@]}"; do
     echo "wrote $json"
   elif [[ $target == bench_flow ]]; then
     # Flow-engine bench: exact/core-exact on registry datasets across
-    # thread budgets and warm/cold flow search, with the FlowNetwork work
-    # counters per run. Parity (identical densest subgraph across every
-    # run of a cell) and the warm-does-less-work contract are asserted
-    # in-bench; either failing is a flow-layer correctness/perf bug —
-    # fail the whole run.
+    # thread budgets, with the FlowNetwork work counters per run. Parity
+    # (identical densest subgraph across every exact run on a dataset,
+    # exact and core-exact alike) is asserted in-bench; a failure is a
+    # flow-layer correctness bug — fail the whole run.
     json="$OUT_DIR/BENCH_${target#bench_}.json"
     if ! "$bin" "$json"; then
       echo "FAIL: $target reported a parity divergence across threads or" >&2
-      echo "warm/cold flow search, or the warm-started search stopped" >&2
-      echo "doing less work than cold; see the bench output above." >&2
+      echo "between exact and core-exact; see the bench output above." >&2
       echo "Aborting." >&2
       exit 1
     fi

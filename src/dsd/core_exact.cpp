@@ -1,9 +1,10 @@
 #include "dsd/core_exact.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <memory>
 
+#include "dsd/density.h"
 #include "dsd/flow_networks.h"
 #include "dsd/measure.h"
 #include "dsd/motif_core.h"
@@ -14,11 +15,6 @@
 namespace dsd {
 
 namespace {
-
-// Ceil of a lower-bound density, as a core order (Lemma 7).
-uint64_t CeilLevel(double density) {
-  return static_cast<uint64_t>(std::ceil(density));
-}
 
 // Connected components of G[vertices], as parent-id vertex lists.
 std::vector<std::vector<VertexId>> ComponentsOf(
@@ -40,7 +36,6 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
   Timer total_timer;
   DensestResult result;
   const VertexId n = graph.NumVertices();
-  const int h = oracle.MotifSize();
   if (n < 2) {
     FillResult(graph, oracle, {}, result, ctx);
     result.stats.total_seconds = total_timer.Seconds();
@@ -63,53 +58,47 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
     return result;
   }
 
-  // Step 2: bounds and initial location. Theorem 1 gives
-  // kmax/|V_Psi| <= rho_opt <= kmax; Pruning1 tightens the lower bound to
-  // rho' (best residual density during peeling, itself >= kmax/|V_Psi|).
-  double lower = static_cast<double>(decomposition.kmax) / h;
-  std::vector<VertexId> initial_best =
-      decomposition.CoreVertices(decomposition.kmax);
-  if (options.pruning1) {
-    lower = decomposition.best_residual_density;
-    initial_best = decomposition.BestResidualVertices();
-  }
-  double upper = static_cast<double>(decomposition.kmax);
-  uint64_t core_level = CeilLevel(lower);
+  // Step 2: lower bound and initial location. The bound is always the exact
+  // density of a vertex set, `best`: the kmax-core (density >= kmax/|V_Psi|
+  // by Theorem 1), or with Pruning1 the best residual subgraph seen while
+  // peeling. Lemma 7 locates every densest subgraph in the
+  // (ceil(lower), Psi)-core.
+  std::vector<VertexId> best = options.pruning1
+                                   ? decomposition.BestResidualVertices()
+                                   : decomposition.CoreVertices(
+                                         decomposition.kmax);
+  Density lower = MeasureExactDensity(graph, oracle, best, ctx);
+  uint64_t core_level = lower.Ceil();
 
   std::vector<std::vector<VertexId>> components =
       ComponentsOf(graph, decomposition.CoreVertices(core_level));
 
   // Pruning2: per-component densities raise the lower bound and core level.
   if (options.pruning2) {
-    double rho2 = 0.0;
-    size_t argmax = 0;
-    std::vector<double> densities(components.size(), 0.0);
+    std::vector<Density> densities(components.size());
     for (size_t i = 0; i < components.size(); ++i) {
-      densities[i] = MeasureDensity(graph, oracle, components[i], ctx);
-      if (densities[i] > rho2) {
-        rho2 = densities[i];
-        argmax = i;
+      densities[i] = MeasureExactDensity(graph, oracle, components[i], ctx);
+      if (densities[i] > lower) {
+        lower = densities[i];
+        best = components[i];
       }
     }
-    if (!components.empty() && rho2 > lower) {
-      lower = rho2;
-      initial_best = components[argmax];
-    }
-    if (CeilLevel(rho2) > core_level) {
-      core_level = CeilLevel(rho2);
+    if (lower.Ceil() > core_level) {
+      core_level = lower.Ceil();
       components = ComponentsOf(graph, decomposition.CoreVertices(core_level));
-      densities.assign(components.size(), 0.0);
+      densities.resize(components.size());
       for (size_t i = 0; i < components.size(); ++i) {
-        densities[i] = MeasureDensity(graph, oracle, components[i], ctx);
+        densities[i] = MeasureExactDensity(graph, oracle, components[i], ctx);
       }
     }
-    // Process densest components first: they raise `lower` early and let the
-    // initial feasibility check skip the rest.
+    // Process densest components first: they raise `lower` early and let
+    // the feasibility test skip the rest.
     std::vector<size_t> order(components.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&densities](size_t a, size_t b) {
-      return densities[a] > densities[b];
-    });
+    std::stable_sort(order.begin(), order.end(),
+                     [&densities](size_t a, size_t b) {
+                       return densities[a] > densities[b];
+                     });
     std::vector<std::vector<VertexId>> sorted;
     sorted.reserve(components.size());
     for (size_t i : order) sorted.push_back(std::move(components[i]));
@@ -121,79 +110,82 @@ DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
   }
   if (options.track_network_sizes) {
     // Figure 9's x = -1: the network Algorithm 1 would build on all of G.
-    result.stats.flow_network_sizes.push_back(
-        MakeDefaultFlowSolver(graph, oracle, ctx)->NumNodes());
+    FlowSolverOr whole = MakeDefaultFlowSolver(graph, oracle, ctx);
+    if (whole.ok()) {
+      result.stats.flow_network_sizes.push_back(whole.value()->NumNodes());
+    }
   }
 
-  // Step 3: per-component binary search on ever-shrinking cores.
-  const double global_gap = 1.0 / (static_cast<double>(n) * (n - 1));
-  std::vector<VertexId> best = std::move(initial_best);
-  double best_density = MeasureDensity(graph, oracle, best, ctx);
-
+  // Step 3: per component, Dinkelbach iteration on ever-shrinking cores.
+  // The first cut, at alpha = lower, is the feasibility test: an empty
+  // maximal side means no subgraph of the component reaches `lower`. Every
+  // further cut is at the exact density of the previous minimal side, until
+  // the minimal side is empty; alpha is then the component's optimum and
+  // the maximal side the union of its densest subgraphs. `best` becomes
+  // that union, or grows by it when the component ties the best optimum so
+  // far, so the answer is the union of all densest subgraphs of G.
+  bool best_from_search = false;
   for (std::vector<VertexId> component : components) {
     if (ctx.ShouldStop()) break;
     uint64_t applied_level = core_level;
-    if (CeilLevel(lower) > applied_level) {
-      applied_level = CeilLevel(lower);
+    if (lower.Ceil() > applied_level) {
+      applied_level = lower.Ceil();
       component = RestrictToCore(graph, oracle, component, applied_level, ctx);
     }
     if (component.size() < 2) continue;
 
     Subgraph sub = InducedSubgraph(graph, component);
-    std::unique_ptr<DensestFlowSolver> solver =
-        MakeDefaultFlowSolver(sub.graph, oracle, ctx);
-    solver->SetWarmStart(options.flow_warm_start);
+    FlowSolverOr made = MakeDefaultFlowSolver(sub.graph, oracle, ctx, lower);
+    if (!made.ok()) {
+      result.status = made.status();
+      return result;
+    }
+    std::unique_ptr<DensestFlowSolver> solver = std::move(made).value();
     if (options.track_network_sizes) {
       result.stats.flow_network_sizes.push_back(solver->NumNodes());
     }
 
-    // Initial feasibility: can this component beat the current lower bound?
-    std::vector<VertexId> side = solver->Solve(lower);
+    Density alpha = lower;
+    DensityCut cut = solver->Solve(alpha);
     ++result.stats.binary_search_iterations;
-    if (side.empty()) {
-      AccumulateFlowStats(*solver, result.stats);
-      continue;
-    }
-    std::vector<VertexId> candidate = sub.ToParent(side);
-
-    const double gap =
-        options.pruning3
-            ? 1.0 / (static_cast<double>(component.size()) *
-                     (static_cast<double>(component.size()) - 1))
-            : global_gap;
-    while (upper - lower >= gap && !ctx.ShouldStop()) {
-      const double alpha = (lower + upper) / 2.0;
-      side = solver->Solve(alpha);
+    while (!cut.minimal.empty() && !ctx.ShouldStop()) {
+      alpha = Density::Of(cut.Instances(alpha, cut.minimal),
+                          cut.minimal.size());
+      // A denser subgraph exists, so the component's densest subgraphs live
+      // in a higher core (Lemma 7): shrink it and rebuild a smaller network.
+      if (alpha.Ceil() > applied_level) {
+        applied_level = alpha.Ceil();
+        component =
+            RestrictToCore(graph, oracle, component, applied_level, ctx);
+        sub = InducedSubgraph(graph, component);
+        AccumulateFlowStats(*solver, result.stats);
+        made = MakeDefaultFlowSolver(sub.graph, oracle, ctx, alpha);
+        if (!made.ok()) {
+          result.status = made.status();
+          return result;
+        }
+        solver = std::move(made).value();
+      }
+      cut = solver->Solve(alpha);
       ++result.stats.binary_search_iterations;
       if (options.track_network_sizes) {
         result.stats.flow_network_sizes.push_back(solver->NumNodes());
       }
-      if (side.empty()) {
-        upper = alpha;
-        continue;
-      }
-      candidate = sub.ToParent(side);
-      lower = alpha;
-      // A denser subgraph exists, so the CDS lives in a higher core
-      // (Lemma 7): shrink the component and rebuild a smaller network.
-      if (CeilLevel(alpha) > applied_level) {
-        applied_level = CeilLevel(alpha);
-        component =
-            RestrictToCore(graph, oracle, component, applied_level, ctx);
-        if (component.size() < 2) break;
-        sub = InducedSubgraph(graph, component);
-        AccumulateFlowStats(*solver, result.stats);
-        solver = MakeDefaultFlowSolver(sub.graph, oracle, ctx);
-        solver->SetWarmStart(options.flow_warm_start);
-      }
     }
     AccumulateFlowStats(*solver, result.stats);
+    if (ctx.ShouldStop() || cut.maximal.empty()) continue;
 
-    const double candidate_density =
-        MeasureDensity(graph, oracle, candidate, ctx);
-    if (candidate_density > best_density) {
-      best_density = candidate_density;
-      best = std::move(candidate);
+    std::vector<VertexId> densest = sub.ToParent(cut.maximal);
+    if (alpha > lower || !best_from_search) {
+      lower = alpha;
+      best = std::move(densest);
+      best_from_search = true;
+    } else {
+      std::vector<VertexId> merged;
+      merged.reserve(best.size() + densest.size());
+      std::set_union(best.begin(), best.end(), densest.begin(), densest.end(),
+                     std::back_inserter(merged));
+      best = std::move(merged);
     }
   }
 

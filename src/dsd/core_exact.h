@@ -2,15 +2,19 @@
 // CorePExact, its general-pattern instantiation with the construct+ network.
 //
 // Three optimisations over Algorithm 1 (Section 6.1):
-//   1. tighter binary-search bounds from Theorem 1: alpha in
-//      [kmax/|V_Psi|, kmax] instead of [0, max motif-degree];
-//   2. the CDS is located inside a small (k'', Psi)-core (Lemma 7 +
-//      Pruning1/Pruning2), and flow networks are built per connected
-//      component of that core (Pruning3 tightens the stop criterion to the
-//      component size);
-//   3. whenever the lower bound grows past its core level, the component is
-//      re-restricted to a higher core, shrinking subsequent flow networks.
-// Each optimisation can be toggled independently for the Figure 10 ablation.
+//   1. a lower bound from Theorem 1 and Pruning1/Pruning2: the exact
+//      density of the kmax-core, the best residual subgraph or the densest
+//      core component — the search starts there instead of at rho(V);
+//   2. the CDS is located inside a small (k'', Psi)-core (Lemma 7), and flow
+//      networks are built per connected component of that core;
+//   3. whenever the search's density passes its core level, the component
+//      is re-restricted to a higher core, shrinking subsequent networks.
+// The paper bisects each component's density interval down to a gap of
+// 1/(|V_C|(|V_C|-1)) (its Pruning3 tightens that gap). Here every guess is
+// the exact density of the previous cut's source side (Dinkelbach
+// iteration), which stops exactly at the optimum, so no gap — and no
+// Pruning3 — is needed. The answer is the union of all densest subgraphs.
+// Pruning1 and Pruning2 can be toggled for the Figure 10 ablation.
 #ifndef DSD_DSD_CORE_EXACT_H_
 #define DSD_DSD_CORE_EXACT_H_
 
@@ -26,31 +30,25 @@ namespace dsd {
 struct CoreExactOptions {
   /// Pruning1: locate the CDS in the (ceil(rho'), Psi)-core, rho' = best
   /// residual density seen during decomposition. When off, falls back to the
-  /// Theorem-1 bound ceil(kmax / |V_Psi|).
+  /// density of the kmax-core (at least Theorem 1's kmax / |V_Psi|).
   bool pruning1 = true;
   /// Pruning2: raise the core level and the lower bound using per-connected-
   /// component densities.
   bool pruning2 = true;
-  /// Pruning3: stop binary search at gap 1/(|V_C|(|V_C|-1)) per component
-  /// instead of the global 1/(n(n-1)).
-  bool pruning3 = true;
-  /// Record flow-network sizes per binary-search iteration, including the
+  /// Record flow-network sizes per min cut, including the
   /// hypothetical whole-graph network (Figure 9). Costs one extra instance
   /// scan of the full graph.
   bool track_network_sizes = false;
-  /// Warm-start the flow network across binary-search iterations (each
-  /// guess re-routes only the delta against the previous preflow). Off =
-  /// the cold-start-per-iteration baseline BENCH_flow.json compares
-  /// against; the min cuts are identical either way.
-  bool flow_warm_start = true;
 };
 
 /// Exact CDS via (k, Psi)-cores (Algorithm 4). Works for any oracle; with a
 /// PatternOracle this is CorePExact (Section 7.2), using the construct+
 /// grouped flow network. `ctx` parallelises/memoizes the oracle's degree
 /// and count passes (decomposition, core restriction, component measuring,
-/// network construction) and is polled between binary-search iterations for
+/// network construction, max flows) and is polled after every min cut for
 /// cooperative early exit (best-effort result; see dsd::Solve).
+/// result.status is OutOfRange when a flow network cannot be represented
+/// in int64.
 DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,
                         const CoreExactOptions& options = {},
                         const ExecutionContext& ctx = ExecutionContext());

@@ -1,6 +1,5 @@
 #include "dsd/exact.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "dsd/flow_networks.h"
@@ -12,34 +11,35 @@ namespace dsd {
 namespace {
 
 DensestResult ExactWithSolver(const Graph& graph, const MotifOracle& oracle,
-                              std::unique_ptr<DensestFlowSolver> solver,
-                              const ExecutionContext& ctx) {
+                              FlowSolverOr made, const ExecutionContext& ctx) {
   Timer timer;
   DensestResult result;
-  const VertexId n = graph.NumVertices();
-  if (n < 2) {
-    FillResult(graph, oracle, {}, result, ctx);
-    result.stats.total_seconds = timer.Seconds();
+  if (!made.ok()) {
+    result.status = made.status();
     return result;
   }
-
-  std::vector<uint64_t> degrees = oracle.Degrees(graph, {}, ctx);
-  double u = 0.0;
-  for (uint64_t d : degrees) u = std::max(u, static_cast<double>(d));
-  double l = 0.0;
-  const double gap = 1.0 / (static_cast<double>(n) * (n - 1));
-
+  std::unique_ptr<DensestFlowSolver> solver = std::move(made).value();
   result.stats.flow_network_sizes.push_back(solver->NumNodes());
+
+  // Dinkelbach iteration from rho(V): each min cut at alpha = rho(S) either
+  // finds a strictly denser set (the minimal side) to continue from, or
+  // proves alpha optimal (the minimal side is empty). The maximal side of
+  // that last cut is the union of all densest subgraphs.
+  Density alpha = solver->GraphDensity();
   std::vector<VertexId> best;
-  while (u - l >= gap && !ctx.ShouldStop()) {
-    const double alpha = (l + u) / 2.0;
-    std::vector<VertexId> side = solver->Solve(alpha);
-    ++result.stats.binary_search_iterations;
-    if (side.empty()) {
-      u = alpha;
-    } else {
-      l = alpha;
-      best = std::move(side);
+  if (graph.NumVertices() >= 2 && alpha.instances > 0) {
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) best.push_back(v);
+    while (true) {
+      DensityCut cut = solver->Solve(alpha);
+      ++result.stats.binary_search_iterations;
+      if (ctx.ShouldStop()) break;  // the cut of a stopped flow is not final
+      if (cut.minimal.empty()) {
+        best = std::move(cut.maximal);
+        break;
+      }
+      alpha = Density::Of(cut.Instances(alpha, cut.minimal),
+                          cut.minimal.size());
+      best = std::move(cut.minimal);
     }
   }
   AccumulateFlowStats(*solver, result.stats);

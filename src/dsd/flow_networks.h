@@ -1,9 +1,9 @@
 // Flow-network constructions for the exact DSD algorithms.
 //
-// Every exact algorithm answers the same oracle question inside a binary
-// search: "does G contain a subgraph with Psi-density greater than alpha?"
-// Each construction below reduces that question to a minimum st-cut whose
-// source side (minus s) induces such a subgraph when one exists:
+// Every exact algorithm asks the same question of a density guess
+// alpha = p / q: which vertex sets S maximise the gain
+// q * mu(S, Psi) - p * |S|? Each construction below answers it with one
+// minimum st-cut whose source side (minus s) is such a maximiser:
 //   * EdsFlowSolver      — Goldberg's network for the edge case (h = 2).
 //   * CliqueFlowSolver   — Algorithm 1's network over (h-1)-clique nodes.
 //   * PatternFlowSolver  — Algorithm 8 (PExact, one node per instance) and
@@ -11,11 +11,17 @@
 //                          instances sharing a vertex set), selected by the
 //                          `grouped` flag; Lemma 11 proves both cuts equal.
 //
-// Solvers are built once per (sub)graph: the structure is alpha-independent,
-// only the v->t capacities are retuned between Solve() calls. This mirrors
-// CoreExact's "the flow network gradually becomes smaller" optimisation —
-// the *networks* shrink because they are rebuilt on smaller cores, while
-// repeated guesses on the same core reuse the structure.
+// All three are the paper's networks multiplied by q, so every capacity is
+// an integer: s->v is q * deg(v, Psi), v->t is h * p, and the interior arcs
+// are q times their paper weight. The paper's infinite arcs (clique
+// psi->member, ForceToSource's s->v) get the finite capacity
+// 1 + h * p + q * deg(v, Psi) for head v: one more than everything v can
+// send on, so no minimum cut ever crosses them and the set of minimum cuts
+// is the one the infinite network has.
+//
+// Solvers are built once per (sub)graph; each Solve rescales every arc for
+// its alpha and routes the flow from scratch. CoreExact's "the flow network
+// gradually becomes smaller" comes from rebuilding on smaller cores.
 #ifndef DSD_DSD_FLOW_NETWORKS_H_
 #define DSD_DSD_FLOW_NETWORKS_H_
 
@@ -23,43 +29,57 @@
 #include <memory>
 #include <vector>
 
+#include "dsd/density.h"
 #include "dsd/execution_context.h"
 #include "dsd/motif_oracle.h"
 #include "dsd/result.h"
 #include "flow/flow_network.h"
 #include "graph/graph.h"
+#include "util/status.h"
 
 namespace dsd {
 
-/// Binary-search oracle: min-cut feasibility test at a density guess.
+/// The two extreme minimum cuts of a density network at one alpha = p / q.
+struct DensityCut {
+  /// Graph vertices of the inclusion-minimal min-cut source side: the
+  /// smallest maximiser of q * mu(S) - p * |S|. Empty when no subgraph is
+  /// denser than alpha (without forced vertices).
+  std::vector<VertexId> minimal;
+  /// Graph vertices of the inclusion-maximal min-cut source side: the union
+  /// of all maximisers. At alpha = rho* it is the union of all densest
+  /// subgraphs.
+  std::vector<VertexId> maximal;
+  /// The maximum gain q * mu(S) - p * |S|, shared by both sides.
+  int64_t gain = 0;
+
+  /// mu(S) of either side S, recovered from the gain.
+  uint64_t Instances(Density alpha, const std::vector<VertexId>& side) const;
+};
+
+/// Min-cut oracle of the density search.
 ///
-/// Solvers run on the warm-startable flow/flow_network.h engine: the first
-/// Solve routes flow from scratch, each later Solve retunes the v->t
-/// capacities as residual deltas and re-routes only the difference, and
-/// discharge parallelises over the ExecutionContext the solver was built
-/// with (threads, deadline, cancel — a truncated Solve returns the cut of
-/// an incomplete flow, so callers re-validate candidates, as CoreExact
-/// does by re-measuring density).
+/// Solvers run on the flow/flow_network.h engine; discharge parallelises
+/// over the ExecutionContext the solver was built with (threads, deadline,
+/// cancel — a stopped Solve returns the cut of an incomplete flow, which
+/// callers must discard).
 class DensestFlowSolver {
  public:
   virtual ~DensestFlowSolver() = default;
 
-  /// Returns the graph vertices on the source side of a minimum st-cut with
-  /// guess alpha. Empty result means S = {s}: no subgraph with density
-  /// exceeding alpha exists.
-  virtual std::vector<VertexId> Solve(double alpha) = 0;
+  /// Minimum cuts at alpha. alpha's instances and vertices must not exceed
+  /// the solver's scale (see the factories): the capacity-sum check at
+  /// construction covers exactly that range.
+  virtual DensityCut Solve(Density alpha) = 0;
+
+  /// rho of the solver's whole graph: Exact's first guess.
+  virtual Density GraphDensity() const = 0;
 
   /// Total flow-network nodes (Figure 9's y-axis).
   virtual uint64_t NumNodes() const = 0;
 
   /// Forces the given graph vertices onto the source side of every future
-  /// min cut (s->v capacity becomes +inf). Used by the query-anchored
-  /// variant of Section 6.3.
+  /// min cut. Used by the query-anchored variant of Section 6.3.
   virtual void ForceToSource(const std::vector<VertexId>& vertices) = 0;
-
-  /// When off, every Solve re-routes from scratch — the ablation baseline
-  /// (CoreExactOptions::flow_warm_start = false). Default on.
-  virtual void SetWarmStart(bool on) = 0;
 
   /// Cumulative work counters of the underlying flow engine.
   virtual FlowStats Stats() const = 0;
@@ -71,33 +91,43 @@ inline void AccumulateFlowStats(const DensestFlowSolver& solver,
                                 AlgoStats& stats) {
   const FlowStats fs = solver.Stats();
   stats.flow_max_flow_calls += fs.max_flow_calls;
-  stats.flow_warm_starts += fs.warm_starts;
   stats.flow_discharges += fs.discharges;
   stats.flow_pushes += fs.pushes;
   stats.flow_relabels += fs.relabels;
   stats.flow_global_relabels += fs.global_relabels;
 }
 
-/// Goldberg's EDS network (Section 4.1 remark): nodes {s} ∪ V ∪ {t};
-/// s->v cap m, v->t cap m + 2*alpha - deg(v), each edge 1 both ways.
-std::unique_ptr<DensestFlowSolver> MakeEdsFlowSolver(
-    const Graph& graph, const ExecutionContext& ctx = ExecutionContext());
+using FlowSolverOr = StatusOr<std::unique_ptr<DensestFlowSolver>>;
+
+// Every factory sizes its solver for alphas whose instances are at most
+// max(mu(graph), scale.instances) and whose vertices are at most
+// max(|V(graph)|, scale.vertices): the densities of the graph's own vertex
+// sets, plus one bound measured outside it (CoreExact's running lower
+// bound). It returns OutOfRange when the network at that largest scale
+// would not fit in int64 (FlowNetwork::CheckCapacitySum).
+
+/// Goldberg's EDS network (Section 4.1 remark) in its degree form: nodes
+/// {s} ∪ V ∪ {t}; s->v cap q * deg(v), v->t cap 2p, each edge q both ways.
+/// The source arcs total 2qm.
+FlowSolverOr MakeEdsFlowSolver(const Graph& graph,
+                               const ExecutionContext& ctx = ExecutionContext(),
+                               Density scale = {});
 
 /// Algorithm 1's clique network: nodes {s} ∪ V ∪ Λ ∪ {t} with Λ the
-/// (h-1)-clique instances; s->v cap deg(v, Psi), v->t cap alpha*h,
-/// psi->member cap +inf, v->psi cap 1 when {v} ∪ psi is an h-clique.
-/// `ctx` parallelises the h-clique degree pass of the construction.
-std::unique_ptr<DensestFlowSolver> MakeCliqueFlowSolver(
+/// (h-1)-clique instances; s->v cap q * deg(v, Psi), v->t cap h * p,
+/// psi->member bounded (see file comment), v->psi cap q when {v} ∪ psi is
+/// an h-clique. `ctx` parallelises the h-clique degree pass.
+FlowSolverOr MakeCliqueFlowSolver(
     const Graph& graph, int h,
-    const ExecutionContext& ctx = ExecutionContext());
+    const ExecutionContext& ctx = ExecutionContext(), Density scale = {});
 
 /// Pattern network over the oracle's instances. grouped = false gives
-/// Algorithm 8 (PExact): one node per instance, v->psi cap 1,
-/// psi->v cap |V_Psi| - 1. grouped = true gives construct+ (Algorithm 7):
-/// one node per vertex-set group g, v->g cap |g|, g->v cap |g|(|V_Psi|-1).
-std::unique_ptr<DensestFlowSolver> MakePatternFlowSolver(
+/// Algorithm 8 (PExact): one node per instance, v->psi cap q,
+/// psi->v cap q(|V_Psi| - 1). grouped = true gives construct+ (Algorithm 7):
+/// one node per vertex-set group g, v->g cap q|g|, g->v cap q|g|(|V_Psi|-1).
+FlowSolverOr MakePatternFlowSolver(
     const Graph& graph, const MotifOracle& oracle, bool grouped,
-    const ExecutionContext& ctx = ExecutionContext());
+    const ExecutionContext& ctx = ExecutionContext(), Density scale = {});
 
 /// The construction each oracle's exact algorithms use by default:
 /// EDS network for 2-cliques, Algorithm 1 for larger cliques, construct+
@@ -105,9 +135,9 @@ std::unique_ptr<DensestFlowSolver> MakePatternFlowSolver(
 /// decorators (CachingOracle) keep the clique fast path; the degree pass
 /// goes through `oracle` itself, which is how a parallel or caching oracle
 /// accelerates network construction.
-std::unique_ptr<DensestFlowSolver> MakeDefaultFlowSolver(
+FlowSolverOr MakeDefaultFlowSolver(
     const Graph& graph, const MotifOracle& oracle,
-    const ExecutionContext& ctx = ExecutionContext());
+    const ExecutionContext& ctx = ExecutionContext(), Density scale = {});
 
 }  // namespace dsd
 

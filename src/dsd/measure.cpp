@@ -26,6 +26,14 @@ double MeasureDensity(const Graph& graph, const MotifOracle& oracle,
          static_cast<double>(vertices.size());
 }
 
+Density MeasureExactDensity(const Graph& graph, const MotifOracle& oracle,
+                            std::span<const VertexId> vertices,
+                            const ExecutionContext& ctx) {
+  if (vertices.empty()) return {};
+  return Density::Of(MeasureInstances(graph, oracle, vertices, ctx),
+                     vertices.size());
+}
+
 void FillResult(const Graph& graph, const MotifOracle& oracle,
                 std::vector<VertexId> vertices, DensestResult& result,
                 const ExecutionContext& ctx) {

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "dsd/density.h"
 #include "dsd/execution_context.h"
 #include "dsd/motif_oracle.h"
 #include "dsd/result.h"
@@ -21,6 +22,11 @@ uint64_t MeasureInstances(const Graph& graph, const MotifOracle& oracle,
 double MeasureDensity(const Graph& graph, const MotifOracle& oracle,
                       std::span<const VertexId> vertices,
                       const ExecutionContext& ctx = ExecutionContext());
+
+/// rho(G[vertices], Psi) as an exact fraction; 0/1 for the empty set.
+Density MeasureExactDensity(const Graph& graph, const MotifOracle& oracle,
+                            std::span<const VertexId> vertices,
+                            const ExecutionContext& ctx = ExecutionContext());
 
 /// Fills result.vertices (sorted), result.instances and result.density.
 void FillResult(const Graph& graph, const MotifOracle& oracle,

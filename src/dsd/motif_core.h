@@ -126,7 +126,7 @@ MotifCoreDecomposition MotifCoreDecompose(
 /// Restricts `vertices` (ids of `graph`) to the (k, Psi)-core of the induced
 /// subgraph G[vertices]: iteratively drops members with motif-degree < k.
 /// Returns the surviving vertices, sorted. Used by CoreExact to tighten a
-/// connected component as the binary-search lower bound grows. Each round
+/// connected component as the density search's lower bound grows. Each round
 /// is one whole-subgraph degree pass — exactly the query `ctx` parallelises
 /// and a CachingOracle memoizes.
 std::vector<VertexId> RestrictToCore(

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "dsd/core_exact.h"
+#include "dsd/density.h"
 #include "dsd/flow_networks.h"
 #include "dsd/measure.h"
 #include "dsd/motif_core.h"
@@ -61,7 +61,6 @@ DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
   Timer timer;
   DensestResult result;
   const VertexId n = graph.NumVertices();
-  const int h = oracle.MotifSize();
   assert(n >= 1);
   for (VertexId q : query) {
     assert(q < n);
@@ -81,21 +80,20 @@ DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
   uint64_t x = UINT64_MAX;
   for (VertexId q : query) x = std::min(x, decomposition.core[q]);
 
-  // Initial candidate: the x-core (always contains Q).
+  // Initial candidate: the x-core (always contains Q); its exact density is
+  // the lower bound the search starts from.
   std::vector<VertexId> best = decomposition.CoreVertices(x);
-  double best_density = MeasureDensity(graph, oracle, best, ctx);
-  double lower = std::max(static_cast<double>(x) / h, best_density);
-  double upper = static_cast<double>(decomposition.kmax);
+  const Density lower = MeasureExactDensity(graph, oracle, best, ctx);
 
-  // Locate the search in the Q-protected ceil(lower)-core.
+  // Locate the search in the Q-protected ceil(lower)-core: every non-Q
+  // vertex of an optimal answer has motif degree >= rho* >= lower in it.
   std::vector<VertexId> all(n);
   for (VertexId v = 0; v < n; ++v) all[v] = v;
   std::vector<VertexId> located = RestrictToCoreProtected(
-      graph, oracle, all, static_cast<uint64_t>(std::ceil(lower)), query,
-      ctx);
+      graph, oracle, all, lower.Ceil(), query, ctx);
   result.stats.located_vertices = located.size();
 
-  if (located.size() >= 2 && upper > lower && !ctx.ShouldStop()) {
+  if (located.size() >= 2 && !ctx.ShouldStop()) {
     Subgraph sub = InducedSubgraph(graph, located);
     std::vector<VertexId> local_query;
     for (VertexId i = 0; i < sub.graph.NumVertices(); ++i) {
@@ -104,30 +102,32 @@ DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
         local_query.push_back(i);
       }
     }
-    std::unique_ptr<DensestFlowSolver> solver =
-        MakeDefaultFlowSolver(sub.graph, oracle, ctx);
-    solver->ForceToSource(local_query);
-    const double gap =
-        1.0 / (static_cast<double>(located.size()) *
-               std::max<double>(1.0, static_cast<double>(located.size()) - 1));
-    while (upper - lower >= gap && !ctx.ShouldStop()) {
-      const double alpha = (lower + upper) / 2.0;
-      std::vector<VertexId> side = solver->Solve(alpha);
-      ++result.stats.binary_search_iterations;
-      // Q is forced into S, so S is never just {s}: feasibility is decided
-      // by the witness's actual density.
-      std::vector<VertexId> candidate = sub.ToParent(side);
-      double density = MeasureDensity(graph, oracle, candidate, ctx);
-      if (density > alpha) {
-        lower = alpha;
-        if (density > best_density) {
-          best_density = density;
-          best = std::move(candidate);
-        }
-      } else {
-        upper = alpha;
-      }
+    FlowSolverOr made = MakeDefaultFlowSolver(sub.graph, oracle, ctx, lower);
+    if (!made.ok()) {
+      result.status = made.status();
+      return result;
     }
+    std::unique_ptr<DensestFlowSolver> solver = std::move(made).value();
+    solver->ForceToSource(local_query);
+    // Dinkelbach iteration over sets containing Q (Q is forced into every
+    // source side, so the sides are never empty): a positive gain means the
+    // minimal side is denser than alpha; a zero gain means alpha is the
+    // optimum, and the maximal side is the union of all optimal answers.
+    Density alpha = lower;
+    while (true) {
+      DensityCut cut = solver->Solve(alpha);
+      ++result.stats.binary_search_iterations;
+      if (ctx.ShouldStop()) break;
+      if (cut.gain > 0) {
+        alpha = Density::Of(cut.Instances(alpha, cut.minimal),
+                            cut.minimal.size());
+        best = sub.ToParent(cut.minimal);
+        continue;
+      }
+      if (cut.gain == 0) best = sub.ToParent(cut.maximal);
+      break;
+    }
+    AccumulateFlowStats(*solver, result.stats);
   }
 
   if (best.empty()) best.assign(query.begin(), query.end());

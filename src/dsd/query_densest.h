@@ -19,9 +19,11 @@
 namespace dsd {
 
 /// Exact max-density subgraph containing every vertex of `query`.
-/// Runs core-located binary search like CoreExact; the answer always
-/// includes `query` (it falls back to exactly `query` when nothing denser
-/// containing it exists).
+/// Runs a core-located Dinkelbach search like CoreExact; the answer is the
+/// union of all optimal subgraphs containing `query` (the largest one,
+/// which BruteForceQueryDensest also returns), so it is the same at every
+/// thread count. result.status is OutOfRange when the flow network cannot
+/// be represented in int64.
 DensestResult QueryDensest(const Graph& graph, const MotifOracle& oracle,
                            std::span<const VertexId> query,
                            const ExecutionContext& ctx = ExecutionContext());

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/types.h"
+#include "util/status.h"
 
 namespace dsd {
 
@@ -51,21 +52,22 @@ struct AlgoStats {
   double total_seconds = 0.0;
   /// Time spent in (k, Psi)-core decomposition (Table 3 numerator).
   double decomposition_seconds = 0.0;
-  /// Binary-search iterations executed.
+  /// Density-search iterations executed (one min cut each; the exact
+  /// solvers' Dinkelbach steps).
   int binary_search_iterations = 0;
   /// Flow-network node counts: entry 0 is the network the baseline would
   /// build on the whole graph, entry 1 the first core-located network, then
-  /// one entry per binary-search iteration (Figure 9's x-axis -1, 0, 1, ...).
+  /// one entry per min cut of the density search (Figure 9's x-axis
+  /// -1, 0, 1, ...).
   std::vector<uint64_t> flow_network_sizes;
   /// Maximum motif-core number kmax, when the algorithm computes it.
   uint32_t kmax = 0;
   /// Vertices of the subgraph the CDS was located in before flow search.
   uint64_t located_vertices = 0;
   /// Flow-engine work counters, summed over every min cut the run solved
-  /// (exact/core-exact only). warm_starts counts the MaxFlow calls that
-  /// reused the previous guess's preflow instead of re-routing from
-  /// scratch; discharges/pushes/relabels/global_relabels are the knobs
-  /// BENCH_flow.json compares warm vs. cold on.
+  /// (exact/core-exact/query). Every MaxFlow routes from scratch, so
+  /// flow_warm_starts is always 0; it stays for the readers of these
+  /// stats that still report it.
   uint64_t flow_max_flow_calls = 0;
   uint64_t flow_warm_starts = 0;
   uint64_t flow_discharges = 0;
@@ -87,6 +89,9 @@ struct DensestResult {
   /// rho(D, Psi) = instances / |vertices| (0 for an empty result).
   double density = 0.0;
   AlgoStats stats;
+  /// OK unless the algorithm refused the input (an exact flow network whose
+  /// capacities would overflow int64); dsd::Solve returns it as the error.
+  Status status = Status::Ok();
 };
 
 }  // namespace dsd

@@ -96,7 +96,7 @@ void RegisterBuiltins(SolverRegistry& registry) {
     (void)status;  // Built-in names are distinct by construction.
   };
   add("exact",
-      "whole-graph flow binary search (Algorithm 1; the evaluation baseline)",
+      "whole-graph exact flow search (Algorithm 1; the evaluation baseline)",
       [](const Graph& g, const MotifOracle& o, const SolveRequest&,
          const ExecutionContext& ctx) { return Exact(g, o, ctx); });
   add("core-exact",
@@ -211,6 +211,7 @@ StatusOr<SolveResponse> RunSolve(const Graph& graph, const Solver& solver,
   response.stats.threads = ctx.threads;
 
   response.result = solver.Run(graph, oracle, request, ctx);
+  if (!response.result.status.ok()) return response.result.status;
   response.stats.wall_seconds = timer.Seconds();
   if (request.time_budget_seconds > 0.0 &&
       response.stats.wall_seconds > request.time_budget_seconds) {

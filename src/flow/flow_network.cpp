@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cmath>
+#include <limits>
+#include <string>
 
 #include "parallel/parallel_for.h"
 
@@ -11,43 +12,63 @@ namespace dsd {
 namespace {
 
 // All shared flow state (residual_, excess_, height_, queued_) lives in
-// plain vectors — std::atomic is not movable, so the vectors hold doubles
-// and ints and every access that can race goes through std::atomic_ref.
-// The per-round thread join is the synchronisation point; within a round
-// the default (seq_cst) orderings keep the invariant reasoning simple, and
-// the discharge loop is memory-bound anyway.
+// plain vectors — std::atomic is not movable. In a parallel round every
+// access that can race goes through std::atomic_ref (kShared = true); the
+// per-round thread join is the synchronisation point, and within a round
+// the default (seq_cst) orderings keep the invariant reasoning simple.
+// Sequential rounds use the same code with plain accesses.
 
-inline double AtomLoad(const double& ref) {
-  return std::atomic_ref<double>(const_cast<double&>(ref)).load();
-}
-
-inline uint32_t AtomLoad(const uint32_t& ref) {
-  return std::atomic_ref<uint32_t>(const_cast<uint32_t&>(ref)).load();
-}
-
-/// Returns the value before the add (libstdc++ has no fetch_add for
-/// atomic_ref<double>, so emulate it with a CAS loop).
-inline double AtomAdd(double& ref, double delta) {
-  std::atomic_ref<double> atom(ref);
-  double old = atom.load();
-  while (!atom.compare_exchange_weak(old, old + delta)) {
+template <bool kShared, typename T>
+inline T Load(const T& ref) {
+  if constexpr (kShared) {
+    return std::atomic_ref<T>(const_cast<T&>(ref)).load();
+  } else {
+    return ref;
   }
-  return old;
 }
 
-inline void AtomStore(uint32_t& ref, uint32_t value) {
-  std::atomic_ref<uint32_t>(ref).store(value);
+/// Returns the value before the add.
+template <bool kShared>
+inline int64_t Add(int64_t& ref, int64_t delta) {
+  if constexpr (kShared) {
+    return std::atomic_ref<int64_t>(ref).fetch_add(delta);
+  } else {
+    const int64_t before = ref;
+    ref += delta;
+    return before;
+  }
+}
+
+template <bool kShared>
+inline void Store(uint32_t& ref, uint32_t value) {
+  if constexpr (kShared) {
+    std::atomic_ref<uint32_t>(ref).store(value);
+  } else {
+    ref = value;
+  }
 }
 
 /// One-shot 0 -> 1 claim; the winner owns enqueueing the node.
+template <bool kShared>
 inline bool TryClaim(uint8_t& flag) {
-  std::atomic_ref<uint8_t> atom(flag);
-  uint8_t expected = 0;
-  return atom.compare_exchange_strong(expected, 1);
+  if constexpr (kShared) {
+    uint8_t expected = 0;
+    return std::atomic_ref<uint8_t>(flag).compare_exchange_strong(expected,
+                                                                   1);
+  } else {
+    if (flag != 0) return false;
+    flag = 1;
+    return true;
+  }
 }
 
+template <bool kShared>
 inline void ReleaseClaim(uint8_t& flag) {
-  std::atomic_ref<uint8_t>(flag).store(0);
+  if constexpr (kShared) {
+    std::atomic_ref<uint8_t>(flag).store(0);
+  } else {
+    flag = 0;
+  }
 }
 
 /// Relabels consumed per node visit before it yields its worklist slot —
@@ -71,76 +92,80 @@ struct FlowNetwork::WorkerState {
 };
 
 FlowNetwork::FlowNetwork(NodeId num_nodes)
-    : out_(num_nodes),
-      excess_(num_nodes, 0.0),
+    : excess_(num_nodes, 0),
       height_(num_nodes, 0),
       cursor_(num_nodes, 0),
       queued_(num_nodes, 0) {}
 
+void FlowNetwork::ReserveArcs(size_t forward_arcs) {
+  head_.reserve(head_.size() + 2 * forward_arcs);
+  capacity_.reserve(capacity_.size() + forward_arcs);
+}
+
 FlowNetwork::ArcId FlowNetwork::AddArc(NodeId from, NodeId to,
-                                       double capacity) {
+                                       int64_t capacity) {
   assert(from < num_nodes() && to < num_nodes());
-  assert(capacity >= 0.0);
-  const ArcId id = static_cast<ArcId>(to_.size());
-  to_.push_back(to);
+  assert(capacity >= 0);
+  if (csr_) UndoCsr();
+  const ArcId id = static_cast<ArcId>(head_.size());
+  head_.push_back(to);
+  head_.push_back(from);
   capacity_.push_back(capacity);
-  residual_.push_back(capacity);
-  out_[from].push_back(id);
-  to_.push_back(from);
-  capacity_.push_back(0.0);
-  residual_.push_back(0.0);
-  out_[to].push_back(id + 1);
   return id;
 }
 
-void FlowNetwork::SetCapacity(ArcId arc, double capacity) {
+void FlowNetwork::SetCapacity(ArcId arc, int64_t capacity) {
   assert(arc < num_arcs());
   assert((arc & 1u) == 0 &&
          "SetCapacity takes forward arc ids (as returned by AddArc); "
-         "retuning a reverse arc would corrupt the residual invariant");
-  assert(capacity >= 0.0);
+         "a reverse arc's capacity is always zero");
+  assert(capacity >= 0);
   if (arc >= num_arcs() || (arc & 1u) != 0) return;  // release-mode reject
-  capacity_[arc] = capacity;
-  capacity_[arc ^ 1] = 0.0;
-  if (!primed_) {
-    // No live preflow yet; the upcoming cold start copies capacities, but
-    // keep residuals coherent for callers that inspect them pre-solve.
-    residual_[arc] = capacity;
-    residual_[arc ^ 1] = 0.0;
-    return;
-  }
-  // Live preflow: apply the retune as a residual delta. The reverse
-  // configured capacity is 0, so the reverse residual IS the carried flow
-  // (this stays finite even when the forward capacity is kInfinity).
-  const double flow = residual_[arc ^ 1];
-  if (capacity >= flow) {
-    residual_[arc] = capacity - flow;
-    return;
-  }
-  // The new capacity no longer covers the carried flow: truncate to
-  // `capacity` and hand the surplus back to the tail as excess.
-  const double surplus = flow - capacity;
-  residual_[arc] = 0.0;
-  residual_[arc ^ 1] = capacity;
-  const NodeId tail = to_[arc ^ 1];
-  const NodeId head = to_[arc];
-  if (head == last_t_ && tail != last_t_) {
-    excess_[tail] += surplus;
-    excess_[last_t_] -= surplus;  // the flow counter at t shrinks
-  } else if (head == last_s_ && tail != last_s_) {
-    excess_[tail] += surplus;  // flow that had returned to s; reroutable
-  } else {
-    // Truncating an interior arc leaves its head with more outflow than
-    // inflow — a deficit the preflow model cannot carry. The DSD solvers
-    // only retune s->v and v->t arcs, so this path never fires there;
-    // for generic callers the next MaxFlow falls back to a cold start.
-    force_cold_ = true;
-  }
+  capacity_[arc >> 1] = capacity;
 }
 
-void FlowNetwork::ColdInit() {
-  residual_ = capacity_;
-  std::fill(excess_.begin(), excess_.end(), 0.0);
+Status FlowNetwork::CheckCapacitySum() const {
+  __int128 sum = 0;
+  for (const int64_t capacity : capacity_) sum += capacity;
+  if (sum > std::numeric_limits<int64_t>::max()) {
+    return Status::OutOfRange(
+        "flow network capacities sum past int64 (" +
+        std::to_string(num_arcs() / 2) + " arcs)");
+  }
+  return Status::Ok();
+}
+
+void FlowNetwork::BuildCsr() {
+  const NodeId n = num_nodes();
+  const ArcId arcs = num_arcs();
+  out_begin_.assign(n + 1, 0);
+  for (ArcId a = 0; a < arcs; ++a) ++out_begin_[head_[a ^ 1] + 1];
+  for (NodeId v = 0; v < n; ++v) out_begin_[v + 1] += out_begin_[v];
+  std::vector<uint32_t> slot(arcs);
+  {
+    std::vector<uint32_t> fill(out_begin_.begin(), out_begin_.end() - 1);
+    for (ArcId a = 0; a < arcs; ++a) slot[a] = fill[head_[a ^ 1]]++;
+  }
+  paired_.resize(arcs);
+  for (ArcId a = 0; a < arcs; ++a) paired_[slot[a]] = slot[a ^ 1];
+  {
+    std::vector<NodeId> head(arcs);
+    for (ArcId a = 0; a < arcs; ++a) head[slot[a]] = head_[a];
+    head_.swap(head);
+  }
+  slot_.resize(arcs / 2);
+  for (ArcId a = 0; a < arcs; a += 2) slot_[a / 2] = slot[a];
+  csr_ = true;
+}
+
+void FlowNetwork::UndoCsr() {
+  const ArcId arcs = num_arcs();
+  std::vector<NodeId> head(arcs);
+  for (ArcId a = 0; a < arcs; ++a) head[a] = head_[Slot(a)];
+  head_.swap(head);
+  slot_.clear();
+  paired_.clear();
+  csr_ = false;
 }
 
 /// Exact-distance relabel of every node against the current residual graph:
@@ -160,11 +185,11 @@ void FlowNetwork::GlobalRelabel(NodeId s, NodeId t) {
   for (size_t head = 0; head < bfs_queue_.size(); ++head) {
     const NodeId v = bfs_queue_[head];
     const uint32_t dv = height_[v];
-    for (const ArcId a : out_[v]) {
-      const NodeId w = to_[a];
+    for (uint32_t a = out_begin_[v]; a < out_begin_[v + 1]; ++a) {
+      const NodeId w = head_[a];
       // w can still push to v iff the arc w->v (the pair of v's arc a)
       // has residual left.
-      if (height_[w] == unreachable && w != s && residual_[a ^ 1] > kEps) {
+      if (height_[w] == unreachable && w != s && residual_[paired_[a]] > 0) {
         height_[w] = dv + 1;
         bfs_queue_.push_back(w);
       }
@@ -176,9 +201,9 @@ void FlowNetwork::GlobalRelabel(NodeId s, NodeId t) {
   for (size_t head = 0; head < bfs_queue_.size(); ++head) {
     const NodeId v = bfs_queue_[head];
     const uint32_t dv = height_[v];
-    for (const ArcId a : out_[v]) {
-      const NodeId w = to_[a];
-      if (height_[w] == unreachable && residual_[a ^ 1] > kEps) {
+    for (uint32_t a = out_begin_[v]; a < out_begin_[v + 1]; ++a) {
+      const NodeId w = head_[a];
+      if (height_[w] == unreachable && residual_[paired_[a]] > 0) {
         height_[w] = dv + 1;  // = n + distance-to-s, < 2n
         bfs_queue_.push_back(w);
       }
@@ -197,62 +222,33 @@ void FlowNetwork::BuildFrontier(NodeId s, NodeId t,
   frontier.clear();
   std::fill(queued_.begin(), queued_.end(), 0);
   for (NodeId v = 0; v < n; ++v) {
-    if (v != s && v != t && excess_[v] > kEps && height_[v] < hmax) {
+    if (v != s && v != t && excess_[v] > 0 && height_[v] < hmax) {
       queued_[v] = 1;
       frontier.push_back(v);
     }
   }
 }
 
-double FlowNetwork::MaxFlow(NodeId s, NodeId t, const ExecutionContext& ctx) {
-  const NodeId n = num_nodes();
-  assert(s < n && t < n && s != t);
-  (void)n;
+int64_t FlowNetwork::MaxFlow(NodeId s, NodeId t, const ExecutionContext& ctx) {
+  assert(s < num_nodes() && t < num_nodes() && s != t);
+  assert(CheckCapacitySum().ok());
   ++stats_.max_flow_calls;
-  const bool warm =
-      warm_start_ && primed_ && !force_cold_ && s == last_s_ && t == last_t_;
-  if (warm) {
-    ++stats_.warm_starts;
-  } else {
-    ColdInit();
+  if (!csr_) BuildCsr();
+  residual_.assign(num_arcs(), 0);
+  for (size_t i = 0; i < capacity_.size(); ++i) {
+    residual_[slot_[i]] = capacity_[i];
   }
-  last_s_ = s;
-  last_t_ = t;
-  primed_ = true;
-  force_cold_ = false;
+  std::fill(excess_.begin(), excess_.end(), 0);
 
-  // Exact heights first, then (re-)saturate the source arcs whose head can
-  // still reach t. On a warm start most of these arcs are already
-  // saturated (their flow survived the retune), so this pushes only the
-  // delta the previous solve bounced back to s.
+  // Exact heights first, then saturate the source arcs whose head can
+  // reach t; the others could only bounce their flow straight back.
   GlobalRelabel(s, t);
-  // Infinite source arcs (ForceToSource) cannot be saturated literally —
-  // infinite excess would go NaN when bounced back to s. Inject a finite
-  // surrogate instead: 1 + the sum of finite capacities bounds any s-t
-  // flow (every DSD network cuts finitely at t), and capping the
-  // outstanding injection at that bound keeps warm restarts from
-  // re-injecting flow the previous solve already placed.
-  double finite_bound = -1.0;
-  for (const ArcId a : out_[s]) {
-    double amount = residual_[a];
-    if (!(amount > kEps) || height_[to_[a]] >= num_nodes()) continue;
-    const NodeId w = to_[a];
-    if (std::isinf(amount)) {
-      if (finite_bound < 0.0) {
-        finite_bound = 1.0;
-        for (ArcId f = 0; f < num_arcs(); f += 2) {
-          if (!std::isinf(capacity_[f])) finite_bound += capacity_[f];
-        }
-      }
-      amount = finite_bound - residual_[a ^ 1];  // minus flow already placed
-      if (!(amount > kEps)) continue;
-      // residual_[a] stays infinite: the arc is never saturated, keeping w
-      // on the source side of every cut.
-    } else {
-      residual_[a] = 0.0;
-    }
-    residual_[a ^ 1] += amount;
-    excess_[w] += amount;
+  for (uint32_t a = out_begin_[s]; a < out_begin_[s + 1]; ++a) {
+    const int64_t amount = residual_[a];
+    if (amount == 0 || height_[head_[a]] >= num_nodes()) continue;
+    residual_[a] = 0;
+    residual_[paired_[a]] += amount;
+    excess_[head_[a]] += amount;
   }
 
   Discharge(s, t, ctx);
@@ -261,8 +257,7 @@ double FlowNetwork::MaxFlow(NodeId s, NodeId t, const ExecutionContext& ctx) {
 
 void FlowNetwork::Discharge(NodeId s, NodeId t, const ExecutionContext& ctx) {
   // Heartbeat: refresh exact heights after ~one residual-graph sweep worth
-  // of scan work — the amortised replacement for the sequential backend's
-  // per-relabel Gap scan.
+  // of scan work — the amortised replacement for a per-relabel gap scan.
   const uint64_t gr_interval =
       std::max<uint64_t>(4ull * num_nodes() + num_arcs(), 1024);
   std::vector<NodeId> frontier;
@@ -291,8 +286,8 @@ void FlowNetwork::Discharge(NodeId s, NodeId t, const ExecutionContext& ctx) {
     if (threads <= 1 || frontier.size() < kParallelCutoff) {
       WorkerState local;
       for (const NodeId v : frontier) {
-        ReleaseClaim(queued_[v]);
-        DischargeNode(v, s, t, local);
+        ReleaseClaim<false>(queued_[v]);
+        DischargeNode<false>(v, s, t, local);
       }
       frontier.swap(local.next);
       stats_.discharges += local.discharges;
@@ -306,8 +301,8 @@ void FlowNetwork::Discharge(NodeId s, NodeId t, const ExecutionContext& ctx) {
                            const NodeId v = frontier[i];
                            // Release before discharging so excess arriving
                            // mid-visit re-enqueues v for the next round.
-                           ReleaseClaim(queued_[v]);
-                           DischargeNode(v, s, t, states[worker]);
+                           ReleaseClaim<true>(queued_[v]);
+                           DischargeNode<true>(v, s, t, states[worker]);
                          });
       frontier.clear();
       for (const WorkerState& st : states) {
@@ -321,96 +316,119 @@ void FlowNetwork::Discharge(NodeId s, NodeId t, const ExecutionContext& ctx) {
   }
 }
 
+template <bool kShared>
 void FlowNetwork::DischargeNode(NodeId v, NodeId s, NodeId t,
                                 WorkerState& local) {
   const uint32_t hmax = 2 * num_nodes();
-  const std::vector<ArcId>& arcs = out_[v];
-  double ev = AtomLoad(excess_[v]);
-  if (ev <= kEps) return;
+  const uint32_t begin = out_begin_[v];
+  const uint32_t end = out_begin_[v + 1];
+  int64_t ev = Load<kShared>(excess_[v]);
+  if (ev <= 0) return;
   ++local.discharges;
   uint32_t relabels_left = kMaxRelabelsPerVisit;
-  uint32_t cur = cursor_[v];
+  uint32_t a = begin + cursor_[v];
   while (true) {
-    const uint32_t hv = AtomLoad(height_[v]);
+    const uint32_t hv = Load<kShared>(height_[v]);
     if (hv >= hmax) {
       // Parked above every label; the next global relabel re-admits v if
       // it still holds excess.
       cursor_[v] = 0;
       return;
     }
-    while (cur < arcs.size() && ev > kEps) {
-      const ArcId a = arcs[cur];
+    while (a < end && ev > 0) {
       ++local.work;
-      const double ra = AtomLoad(residual_[a]);
+      const int64_t ra = Load<kShared>(residual_[a]);
+      const NodeId w = head_[a];
       // A concurrent relabel of the head can make this check stale — the
       // push then lands one level too low. Harmless: the preflow stays
       // valid, and the heartbeat's exact relabel restores admissibility.
-      if (ra > kEps && hv == AtomLoad(height_[to_[a]]) + 1) {
-        const NodeId w = to_[a];
-        const double amount = std::min(ev, ra);
-        AtomAdd(residual_[a], -amount);
-        AtomAdd(residual_[a ^ 1], amount);
-        AtomAdd(excess_[v], -amount);
-        const double w_before = AtomAdd(excess_[w], amount);
+      if (ra > 0 && hv == Load<kShared>(height_[w]) + 1) {
+        const int64_t amount = std::min(ev, ra);
+        Add<kShared>(residual_[a], -amount);
+        Add<kShared>(residual_[paired_[a]], amount);
+        Add<kShared>(excess_[v], -amount);
+        const int64_t w_before = Add<kShared>(excess_[w], amount);
         ev -= amount;
         ++local.pushes;
         // Inactive -> active transition: exactly one pusher sees the old
-        // excess at/below the floor and owns the (claimed) enqueue.
-        if (w_before <= kEps && w != s && w != t && TryClaim(queued_[w])) {
+        // excess at zero and owns the (claimed) enqueue.
+        if (w_before <= 0 && w != s && w != t &&
+            TryClaim<kShared>(queued_[w])) {
           local.next.push_back(w);
         }
-        if (ev > kEps) ++cur;  // arc saturated; otherwise stay on it
+        if (ev > 0) ++a;  // arc saturated; otherwise stay on it
       } else {
-        ++cur;
+        ++a;
       }
     }
     // Re-read: pushes from other workers may have landed mid-visit.
-    ev = AtomLoad(excess_[v]);
-    if (ev <= kEps) {
-      cursor_[v] = cur;
+    ev = Load<kShared>(excess_[v]);
+    if (ev <= 0) {
+      cursor_[v] = a - begin;
       return;
     }
-    if (cur < arcs.size()) continue;  // fresh excess, cursor still live
+    if (a < end) continue;  // fresh excess, cursor still live
     if (relabels_left == 0) {
       // Yield the slot instead of monopolising the round.
-      cursor_[v] = cur;
-      if (TryClaim(queued_[v])) local.next.push_back(v);
+      cursor_[v] = a - begin;
+      if (TryClaim<kShared>(queued_[v])) local.next.push_back(v);
       return;
     }
     --relabels_left;
     uint32_t best = hmax;
-    for (const ArcId a : arcs) {
+    for (uint32_t b = begin; b < end; ++b) {
       ++local.work;
-      if (AtomLoad(residual_[a]) > kEps) {
-        const uint32_t hw = AtomLoad(height_[to_[a]]);
+      if (Load<kShared>(residual_[b]) > 0) {
+        const uint32_t hw = Load<kShared>(height_[head_[b]]);
         if (hw + 1 < best) best = hw + 1;
       }
     }
-    const uint32_t hv_now = AtomLoad(height_[v]);
-    AtomStore(height_[v], std::min(std::max(best, hv_now + 1), hmax));
+    const uint32_t hv_now = Load<kShared>(height_[v]);
+    Store<kShared>(height_[v], std::min(std::max(best, hv_now + 1), hmax));
     ++local.relabels;
-    cur = 0;
+    a = begin;
   }
+}
+
+std::vector<char> FlowNetwork::ResidualReach(NodeId root,
+                                             bool toward_sink) const {
+  assert(csr_ && residual_.size() == head_.size() &&
+         "cut sides are defined after a MaxFlow");
+  std::vector<char> seen(num_nodes(), 0);
+  std::vector<NodeId> stack = {root};
+  seen[root] = 1;
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    for (uint32_t a = out_begin_[v]; a < out_begin_[v + 1]; ++a) {
+      const NodeId w = head_[a];
+      // Forward search follows v->w with residual left; the search toward
+      // the sink follows w->v (the paired arc) backwards.
+      if (!seen[w] && residual_[toward_sink ? paired_[a] : a] > 0) {
+        seen[w] = 1;
+        stack.push_back(w);
+      }
+    }
+  }
+  return seen;
 }
 
 std::vector<FlowNetwork::NodeId> FlowNetwork::MinCutSourceSide(
     NodeId s) const {
-  std::vector<char> seen(num_nodes(), 0);
-  std::vector<NodeId> stack = {s};
-  seen[s] = 1;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const ArcId a : out_[v]) {
-      if (residual_[a] > kEps && !seen[to_[a]]) {
-        seen[to_[a]] = 1;
-        stack.push_back(to_[a]);
-      }
-    }
-  }
+  const std::vector<char> reached = ResidualReach(s, /*toward_sink=*/false);
   std::vector<NodeId> side;
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    if (seen[v]) side.push_back(v);
+    if (reached[v]) side.push_back(v);
+  }
+  return side;
+}
+
+std::vector<FlowNetwork::NodeId> FlowNetwork::MaximalMinCutSourceSide(
+    NodeId t) const {
+  const std::vector<char> reaches_t = ResidualReach(t, /*toward_sink=*/true);
+  std::vector<NodeId> side;
+  for (NodeId v = 0; v < num_nodes(); ++v) {
+    if (!reaches_t[v]) side.push_back(v);
   }
   return side;
 }

@@ -1,68 +1,59 @@
-// FlowNetwork: the reusable max-flow / min-cut engine behind the exact DSD
-// algorithms — warm-startable across capacity retunes, parallel discharge.
+// FlowNetwork: the max-flow / min-cut engine behind the exact DSD
+// algorithms — integer capacities, CSR adjacency, parallel discharge.
 //
-// The paper's exact algorithms answer every binary-search guess alpha with
-// a minimum st-cut on a network whose structure never changes; only the
-// v->t capacities move with alpha. The earlier backends (flow/max_flow.h
-// Dinic, flow/push_relabel.h sequential push-relabel) rebuild the residual
-// state from scratch on every MaxFlow call, so each guess re-routes all the
-// flow the previous guess already placed. FlowNetwork keeps the preflow
-// alive instead:
+// The exact algorithms answer every density guess alpha = p / q with one
+// minimum st-cut on a network whose structure never changes; the solvers
+// in dsd/flow_networks.h scale every arc by q so each capacity is an exact
+// int64, then re-solve:
 //
-//   * SetCapacity applies the change to the residuals in place. Flow
-//     already on the arc survives while the new capacity covers it; a
-//     decrease below the carried flow returns the surplus to the arc's
-//     tail as excess for the next solve.
-//   * MaxFlow warm-starts from the surviving preflow: a global relabel
-//     recomputes exact heights for the current residual graph, source arcs
-//     whose head can still reach t are re-saturated, and discharge routes
-//     only the delta. Cold starts (the first call, after
-//     set_warm_start(false), a changed (s, t) pair, or a retune the warm
-//     path cannot absorb) reset residuals to the configured capacities.
+//   * Arcs are appended to flat arrays (ReserveArcs sizes them up front).
+//     The first MaxFlow lays them out once as a CSR: the arcs leaving a
+//     node sit next to each other with their heads, residuals and the slot
+//     of their paired arc, so a discharge scans contiguous memory. Arc ids
+//     stay valid; SetCapacity only changes the configured capacity.
+//   * Every MaxFlow starts from the configured capacities: residuals and
+//     excesses are reset, a global relabel computes exact heights, every
+//     source arc whose head can reach t is saturated, and discharge routes
+//     the rest. No state carries over between calls.
 //   * Discharge runs over a shared worklist: rounds of parallel node
-//     discharges (atomic excess/residual updates, CAS-claimed activation
-//     flags, per-thread output buffers) with a global-relabel heartbeat
-//     replacing the sequential backend's O(n) Gap scan. ctx.threads sizes
-//     the worker set; small frontiers stay on the calling thread, so a
-//     1-thread context is plain sequential push-relabel.
+//     discharges (atomic fetch_add on excesses and residuals, CAS-claimed
+//     activation flags, per-thread output buffers) with a global-relabel
+//     heartbeat. ctx.threads sizes the worker set; small frontiers stay on
+//     the calling thread without atomics, so a 1-thread context is plain
+//     sequential push-relabel.
 //
-// Determinism: for capacities on which double arithmetic is exact (the
-// integral and dyadic-rational mixes the DSD networks use), the max-flow
-// value is unique and MinCutSourceSide returns the unique inclusion-minimal
-// source side — bit-identical across thread counts and warm/cold starts.
-// The differential suites (tests/flow_network_test.cpp,
-// tests/flow_differential_test.cpp) enforce this against the sequential
-// cold-start baselines.
+// Determinism: capacities are integers, so arithmetic is exact. The
+// max-flow value is unique, and so are the inclusion-minimal and the
+// inclusion-maximal min-cut source sides: every minimum cut lies between
+// them, whichever maximum flow the discharge order found.
+// MinCutSourceSide and MaximalMinCutSourceSide therefore return the same
+// sets at every thread count. Callers keep the sum of all capacities
+// within int64 (CheckCapacitySum), which bounds every excess and residual.
 //
 // Cooperative stop: MaxFlow polls ctx.ShouldStop() at round granularity
-// and returns the flow routed so far. The preflow stays consistent, so a
-// later MaxFlow call resumes where the truncated one stopped; only then is
-// MinCutSourceSide meaningful again.
+// and returns the flow routed so far; the cut sides of a stopped solve are
+// not minimum cuts.
 #ifndef DSD_FLOW_FLOW_NETWORK_H_
 #define DSD_FLOW_FLOW_NETWORK_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "dsd/execution_context.h"
+#include "util/status.h"
 
 namespace dsd {
 
 /// Work counters, cumulative across MaxFlow calls (ResetStats() clears).
-/// bench_flow reports these to show warm starts doing less work than
-/// cold-start-per-iteration on the same binary search.
 struct FlowStats {
   uint64_t max_flow_calls = 0;
-  uint64_t warm_starts = 0;       // calls that reused the previous preflow
-  uint64_t discharges = 0;        // node visits in the discharge loop
+  uint64_t discharges = 0;  // node visits in the discharge loop
   uint64_t pushes = 0;
   uint64_t relabels = 0;
   uint64_t global_relabels = 0;
 
   FlowStats& operator+=(const FlowStats& other) {
     max_flow_calls += other.max_flow_calls;
-    warm_starts += other.warm_starts;
     discharges += other.discharges;
     pushes += other.pushes;
     relabels += other.relabels;
@@ -71,49 +62,56 @@ struct FlowStats {
   }
 };
 
-/// Warm-startable parallel push-relabel max-flow with real capacities.
+/// Parallel push-relabel max-flow with int64 capacities.
 class FlowNetwork {
  public:
   using NodeId = uint32_t;
   using ArcId = uint32_t;
 
-  static constexpr double kInfinity = std::numeric_limits<double>::infinity();
-  static constexpr double kEps = 1e-9;
-
   explicit FlowNetwork(NodeId num_nodes);
 
+  /// Reserves room for `forward_arcs` more AddArc calls.
+  void ReserveArcs(size_t forward_arcs);
+
   /// Adds arc from->to with `capacity` >= 0 and a zero-capacity reverse
-  /// arc; returns the forward arc id (always even).
-  ArcId AddArc(NodeId from, NodeId to, double capacity);
+  /// arc; returns the forward arc id (always even). Adding arcs after a
+  /// MaxFlow is allowed but undoes the CSR layout, which the next MaxFlow
+  /// rebuilds.
+  ArcId AddArc(NodeId from, NodeId to, int64_t capacity);
 
-  /// Retunes a forward arc's capacity as an in-place residual delta (see
-  /// file comment). Reverse (odd) arc ids are a caller bug: they would
-  /// silently corrupt the residual invariant, so they are rejected —
-  /// assert in debug builds, ignored (no state change) in release builds.
-  /// The paired reverse capacity is explicitly reset to zero.
-  void SetCapacity(ArcId arc, double capacity);
+  /// Sets a forward arc's capacity; the next MaxFlow uses it. Reverse (odd)
+  /// arc ids are a caller bug — assert in debug builds, ignored (no state
+  /// change) in release builds.
+  void SetCapacity(ArcId arc, int64_t capacity);
 
-  /// Configured capacity of a forward arc.
-  double Capacity(ArcId arc) const { return capacity_[arc]; }
+  /// Configured capacity of an arc (0 for a reverse arc).
+  int64_t Capacity(ArcId arc) const {
+    return (arc & 1u) != 0 ? 0 : capacity_[arc >> 1];
+  }
 
-  NodeId num_nodes() const { return static_cast<NodeId>(out_.size()); }
-  ArcId num_arcs() const { return static_cast<ArcId>(to_.size()); }
+  /// Head node of an arc.
+  NodeId Head(ArcId arc) const { return head_[Slot(arc)]; }
 
-  /// Max flow from s to t; warm-starts when possible (see file comment).
+  NodeId num_nodes() const { return static_cast<NodeId>(excess_.size()); }
+  ArcId num_arcs() const { return static_cast<ArcId>(head_.size()); }
+
+  /// OK when the configured capacities, summed in 128-bit arithmetic, fit
+  /// in int64 — the precondition of MaxFlow, since no excess or residual
+  /// can exceed that sum. OutOfRange otherwise.
+  Status CheckCapacitySum() const;
+
+  /// Max flow from s to t, routed from the configured capacities.
   /// ctx supplies the worker budget and the cooperative stop.
-  double MaxFlow(NodeId s, NodeId t,
-                 const ExecutionContext& ctx = ExecutionContext());
+  int64_t MaxFlow(NodeId s, NodeId t,
+                  const ExecutionContext& ctx = ExecutionContext());
 
-  /// After a completed MaxFlow(s, t): the source side of the minimum cut
-  /// (residual reachability from s), sorted. For exact-arithmetic
-  /// capacities this is the unique minimal min cut, independent of thread
-  /// count and warm/cold history.
+  /// After a completed MaxFlow(s, t): the inclusion-minimal min-cut source
+  /// side (nodes reachable from s in the residual graph), sorted.
   std::vector<NodeId> MinCutSourceSide(NodeId s) const;
 
-  /// When off, every MaxFlow call re-routes from scratch (the ablation
-  /// baseline bench_flow compares against). Default on.
-  void set_warm_start(bool on) { warm_start_ = on; }
-  bool warm_start() const { return warm_start_; }
+  /// After a completed MaxFlow(s, t): the inclusion-maximal min-cut source
+  /// side (nodes that cannot reach t in the residual graph), sorted.
+  std::vector<NodeId> MaximalMinCutSourceSide(NodeId t) const;
 
   const FlowStats& stats() const { return stats_; }
   void ResetStats() { stats_ = FlowStats(); }
@@ -121,28 +119,48 @@ class FlowNetwork {
  private:
   struct WorkerState;
 
-  void ColdInit();
+  /// Storage slot of an arc: its id before the CSR is built, its CSR
+  /// position after.
+  uint32_t Slot(ArcId arc) const {
+    if (!csr_) return arc;
+    const uint32_t forward = slot_[arc >> 1];
+    return (arc & 1u) == 0 ? forward : paired_[forward];
+  }
+
+  void BuildCsr();
+  void UndoCsr();
   void GlobalRelabel(NodeId s, NodeId t);
   void BuildFrontier(NodeId s, NodeId t, std::vector<NodeId>& frontier);
   void Discharge(NodeId s, NodeId t, const ExecutionContext& ctx);
+  /// kShared: other workers discharge concurrently, so shared state goes
+  /// through atomics; otherwise plain loads and stores.
+  template <bool kShared>
   void DischargeNode(NodeId v, NodeId s, NodeId t, WorkerState& local);
+  /// Marks every node that reaches (toward_sink) or is reached from `root`
+  /// through arcs with residual capacity left.
+  std::vector<char> ResidualReach(NodeId root, bool toward_sink) const;
 
-  // Arcs stored in pairs; arc^1 is the paired arc, to_[arc^1] the tail.
-  std::vector<std::vector<ArcId>> out_;
-  std::vector<NodeId> to_;
-  std::vector<double> capacity_;  // configured; reverse arcs hold 0
-  std::vector<double> residual_;
+  // Arc storage, indexed by slot. Before the CSR is built a slot is the
+  // arc id (AddArc order; arc ^ 1 is the paired arc, head_[arc ^ 1] the
+  // tail). BuildCsr permutes the slots so the arcs leaving v occupy
+  // [out_begin_[v], out_begin_[v + 1]) in insertion order, and records
+  // each forward arc's slot (slot_[id / 2]) and every arc's paired slot
+  // (paired_).
+  std::vector<NodeId> head_;
+  std::vector<int64_t> residual_;
+  // Configured capacities of the forward arcs, by id / 2 (a reverse arc's
+  // capacity is always 0).
+  std::vector<int64_t> capacity_;
+  std::vector<uint32_t> paired_;
+  std::vector<uint32_t> out_begin_;
+  std::vector<uint32_t> slot_;
+  bool csr_ = false;  // slots are in CSR order
 
-  std::vector<double> excess_;
+  std::vector<int64_t> excess_;
   std::vector<uint32_t> height_;
-  std::vector<uint32_t> cursor_;  // current-arc pointer per node
+  std::vector<uint32_t> cursor_;  // current-arc offset per node
   std::vector<uint8_t> queued_;   // CAS-claimed worklist membership
 
-  bool warm_start_ = true;
-  bool primed_ = false;      // a MaxFlow has run; residual state is live
-  bool force_cold_ = false;  // a retune the warm path cannot absorb
-  NodeId last_s_ = 0;
-  NodeId last_t_ = 0;
   FlowStats stats_;
 
   std::vector<NodeId> bfs_queue_;  // global-relabel scratch

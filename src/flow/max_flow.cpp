@@ -44,7 +44,7 @@ bool MaxFlowNetwork::BuildLevels(NodeId s, NodeId t) {
     NodeId v = queue.front();
     queue.pop();
     for (ArcId a : out_[v]) {
-      if (residual_[a] > kEps && level_[to_[a]] == UINT32_MAX) {
+      if (residual_[a] > kTolerance && level_[to_[a]] == UINT32_MAX) {
         level_[to_[a]] = level_[v] + 1;
         queue.push(to_[a]);
       }
@@ -58,9 +58,9 @@ double MaxFlowNetwork::Push(NodeId v, NodeId t, double limit) {
   for (uint32_t& i = iter_[v]; i < out_[v].size(); ++i) {
     ArcId a = out_[v][i];
     NodeId w = to_[a];
-    if (residual_[a] > kEps && level_[w] == level_[v] + 1) {
+    if (residual_[a] > kTolerance && level_[w] == level_[v] + 1) {
       double pushed = Push(w, t, std::min(limit, residual_[a]));
-      if (pushed > kEps) {
+      if (pushed > kTolerance) {
         residual_[a] -= pushed;
         residual_[a ^ 1] += pushed;
         return pushed;
@@ -78,7 +78,7 @@ double MaxFlowNetwork::MaxFlow(NodeId s, NodeId t) {
     iter_.assign(num_nodes(), 0);
     while (true) {
       double pushed = Push(s, t, kInfinity);
-      if (pushed <= kEps) break;
+      if (pushed <= kTolerance) break;
       flow += pushed;
     }
   }
@@ -94,7 +94,7 @@ std::vector<MaxFlowNetwork::NodeId> MaxFlowNetwork::MinCutSourceSide(
     NodeId v = stack.back();
     stack.pop_back();
     for (ArcId a : out_[v]) {
-      if (residual_[a] > kEps && !seen[to_[a]]) {
+      if (residual_[a] > kTolerance && !seen[to_[a]]) {
         seen[to_[a]] = 1;
         stack.push_back(to_[a]);
       }

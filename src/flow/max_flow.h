@@ -1,16 +1,15 @@
 // Max-flow / min-cut solver (Dinic's algorithm, real-valued capacities).
 //
-// All exact densest-subgraph algorithms in the paper reduce to a sequence of
-// minimum st-cut computations on flow networks whose v->t capacities depend
-// on the binary-search guess alpha. This solver therefore supports
+// The exact DSD algorithms run on the integer-capacity flow/flow_network.h
+// engine; this independent double-capacity implementation is the test
+// reference it is checked against (tests/flow_test.cpp,
+// tests/flow_differential_test.cpp). It supports
 //   * building the network structure once,
 //   * retuning individual arc capacities (SetCapacity) between solves, and
 //   * extracting the source side S of a minimum cut after MaxFlow().
 //
-// Capacities are doubles: the networks mix integral capacities with
-// alpha-dependent ones where alpha is a dyadic rational from binary search
-// (the authors' reference implementation does the same). Comparisons use an
-// epsilon far below the paper's 1/(n(n-1)) density-separation bound.
+// Capacities are doubles, so comparisons use a small tolerance; the
+// reference tests feed it integral capacities, on which it is exact.
 #ifndef DSD_FLOW_MAX_FLOW_H_
 #define DSD_FLOW_MAX_FLOW_H_
 
@@ -29,8 +28,9 @@ class MaxFlowNetwork {
   /// Capacity treated as unbounded.
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-  /// Residual amounts below this are considered zero.
-  static constexpr double kEps = 1e-9;
+  /// Residual amounts at or below this count as zero: the double
+  /// capacities of this reference engine are not exact.
+  static constexpr double kTolerance = 1e-9;
 
   /// Creates a network with `num_nodes` nodes and no arcs.
   explicit MaxFlowNetwork(NodeId num_nodes);

@@ -38,7 +38,7 @@ void PushRelabelNetwork::Push(NodeId v, ArcId arc) {
   residual_[arc] -= amount;
   residual_[arc ^ 1] += amount;
   excess_[v] -= amount;
-  if (excess_[w] <= kEps && amount > kEps && w != t_ && w != s_) {
+  if (excess_[w] <= kTolerance && amount > kTolerance && w != t_ && w != s_) {
     // w becomes active (never s or t: they are skipped on pop anyway, so
     // enqueueing them is pure queue churn).
     if (height_[w] < active_.size()) {
@@ -52,7 +52,7 @@ void PushRelabelNetwork::Push(NodeId v, ArcId arc) {
 void PushRelabelNetwork::Relabel(NodeId v) {
   uint32_t best = 2 * num_nodes();
   for (ArcId a : out_[v]) {
-    if (residual_[a] > kEps) best = std::min(best, height_[to_[a]] + 1);
+    if (residual_[a] > kTolerance) best = std::min(best, height_[to_[a]] + 1);
   }
   if (height_[v] < count_.size()) --count_[height_[v]];
   height_[v] = best;
@@ -92,11 +92,11 @@ double PushRelabelNetwork::MaxFlow(NodeId s, NodeId t) {
   // Saturate source arcs.
   for (ArcId a : out_[s]) {
     const double amount = residual_[a];
-    if (amount > kEps) {
+    if (amount > kTolerance) {
       NodeId w = to_[a];
       residual_[a] = 0;
       residual_[a ^ 1] += amount;
-      if (excess_[w] <= kEps && w != t && w != s) {
+      if (excess_[w] <= kTolerance && w != t && w != s) {
         active_[height_[w]].push_back(w);
       }
       excess_[w] += amount;
@@ -109,7 +109,7 @@ double PushRelabelNetwork::MaxFlow(NodeId s, NodeId t) {
     if (active_[highest_].empty()) break;
     NodeId v = active_[highest_].back();
     active_[highest_].pop_back();
-    if (v == s || v == t || excess_[v] <= kEps) continue;
+    if (v == s || v == t || excess_[v] <= kTolerance) continue;
     if (height_[v] != highest_) {
       // Stale entry (node was relabelled since enqueue): re-enqueue at its
       // current height.
@@ -120,7 +120,7 @@ double PushRelabelNetwork::MaxFlow(NodeId s, NodeId t) {
       continue;
     }
     // Discharge v.
-    while (excess_[v] > kEps && height_[v] < 2 * n) {
+    while (excess_[v] > kTolerance && height_[v] < 2 * n) {
       if (cursor_[v] == out_[v].size()) {
         const uint32_t old_height = height_[v];
         Relabel(v);
@@ -128,7 +128,7 @@ double PushRelabelNetwork::MaxFlow(NodeId s, NodeId t) {
         continue;
       }
       ArcId a = out_[v][cursor_[v]];
-      if (residual_[a] > kEps && height_[v] == height_[to_[a]] + 1) {
+      if (residual_[a] > kTolerance && height_[v] == height_[to_[a]] + 1) {
         Push(v, a);
       } else {
         ++cursor_[v];
@@ -149,7 +149,7 @@ std::vector<PushRelabelNetwork::NodeId> PushRelabelNetwork::MinCutSourceSide(
     NodeId v = stack.back();
     stack.pop_back();
     for (ArcId a : out_[v]) {
-      if (residual_[a] > kEps && !seen[to_[a]]) {
+      if (residual_[a] > kTolerance && !seen[to_[a]]) {
         seen[to_[a]] = 1;
         stack.push_back(to_[a]);
       }

@@ -22,7 +22,7 @@ class PushRelabelNetwork {
   using ArcId = uint32_t;
 
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
-  static constexpr double kEps = 1e-9;
+  static constexpr double kTolerance = 1e-9;
 
   explicit PushRelabelNetwork(NodeId num_nodes);
 

@@ -419,17 +419,40 @@ std::vector<InstanceGroup> PatternMatcher::Groups(
   std::vector<InstanceGroup> result;
   if (plans_->semantics() == MatchSemantics::kInstances) {
     // Each match IS one instance, so a group's multiplicity is a plain
-    // match count per sorted vertex set — no edge-set deduplication.
-    std::map<std::vector<VertexId>, uint64_t> groups;
-    std::vector<VertexId> vertices(pattern().size());
+    // match count per sorted vertex set — no edge-set deduplication. The
+    // sorted vertex sets go into one flat array of k-tuples, an LSD radix
+    // sort (one counting pass per position, last to first) orders them
+    // lexicographically — the order a map keyed by the vertex set would
+    // give — and equal neighbours are counted as one group.
+    const size_t k = pattern().size();
+    std::vector<VertexId> tuples;
     MatchAll(alive, [&](std::span<const VertexId> image) {
-      vertices.assign(image.begin(), image.end());
-      std::sort(vertices.begin(), vertices.end());
-      ++groups[vertices];
+      const size_t at = tuples.size();
+      tuples.insert(tuples.end(), image.begin(), image.end());
+      std::sort(tuples.begin() + at, tuples.end());
     });
-    result.reserve(groups.size());
-    for (auto& [vertex_set, multiplicity] : groups) {
-      result.push_back({vertex_set, multiplicity});
+    const size_t count = k == 0 ? 0 : tuples.size() / k;
+    std::vector<VertexId> sorted(tuples.size());
+    std::vector<size_t> next(graph_.NumVertices() + 1);
+    for (size_t pos = k; pos-- > 0;) {
+      std::fill(next.begin(), next.end(), 0);
+      for (size_t i = 0; i < count; ++i) ++next[tuples[i * k + pos] + 1];
+      for (size_t v = 1; v < next.size(); ++v) next[v] += next[v - 1];
+      for (size_t i = 0; i < count; ++i) {
+        const size_t to = next[tuples[i * k + pos]]++;
+        std::copy_n(tuples.begin() + i * k, k, sorted.begin() + to * k);
+      }
+      tuples.swap(sorted);
+    }
+    for (size_t i = 0; i < count;) {
+      const auto first = tuples.begin() + i * k;
+      size_t j = i + 1;
+      while (j < count && std::equal(first, first + k, tuples.begin() + j * k)) {
+        ++j;
+      }
+      result.push_back({std::vector<VertexId>(first, first + k),
+                        static_cast<uint64_t>(j - i)});
+      i = j;
     }
     return result;
   }

@@ -47,6 +47,13 @@ class Status {
     return Status(Code::kResourceExhausted, std::move(message));
   }
 
+  /// A quantity the request implies does not fit the representation the
+  /// algorithm computes in (an exact flow network whose capacities would
+  /// overflow int64). Retrying the same request cannot succeed.
+  static Status OutOfRange(std::string message) {
+    return Status(Code::kOutOfRange, std::move(message));
+  }
+
   bool ok() const { return code_ == Code::kOk; }
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsIoError() const { return code_ == Code::kIoError; }
@@ -55,6 +62,7 @@ class Status {
   bool IsResourceExhausted() const {
     return code_ == Code::kResourceExhausted;
   }
+  bool IsOutOfRange() const { return code_ == Code::kOutOfRange; }
 
   /// Human-readable description; empty for OK.
   const std::string& message() const { return message_; }
@@ -76,6 +84,8 @@ class Status {
         return "DeadlineExceeded";
       case Code::kResourceExhausted:
         return "ResourceExhausted";
+      case Code::kOutOfRange:
+        return "OutOfRange";
     }
     return "Unknown";
   }
@@ -88,7 +98,7 @@ class Status {
 
  private:
   enum class Code { kOk, kInvalidArgument, kIoError, kNotFound,
-                    kDeadlineExceeded, kResourceExhausted };
+                    kDeadlineExceeded, kResourceExhausted, kOutOfRange };
 
   Status() : code_(Code::kOk) {}
   Status(Code code, std::string message)

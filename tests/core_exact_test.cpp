@@ -72,12 +72,14 @@ TEST(CoreExact, DisconnectedComponentsBothConsidered) {
 class PruningVariantTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PruningVariantTest, AllPruningCombinationsCorrect) {
-  // Figure 10 isolates Pruning1/2/3; every combination must stay exact.
+  // Figure 10 isolates Pruning1/2; every combination of the toggles
+  // (including network-size tracking, which builds an extra whole-graph
+  // network) must stay exact.
   const int mask = GetParam();
   CoreExactOptions options;
   options.pruning1 = mask & 1;
   options.pruning2 = mask & 2;
-  options.pruning3 = mask & 4;
+  options.track_network_sizes = mask & 4;
   for (int seed = 0; seed < 4; ++seed) {
     Graph g = gen::ErdosRenyi(30, 0.25, seed);
     for (int h = 2; h <= 3; ++h) {
@@ -85,6 +87,9 @@ TEST_P(PruningVariantTest, AllPruningCombinationsCorrect) {
       DensestResult variant = CoreExact(g, oracle, options);
       DensestResult reference = Exact(g, oracle);
       EXPECT_NEAR(variant.density, reference.density, 1e-9)
+          << "mask " << mask << " seed " << seed << " h " << h;
+      // Both return the union of all densest subgraphs.
+      EXPECT_EQ(variant.vertices, reference.vertices)
           << "mask " << mask << " seed " << seed << " h " << h;
     }
   }

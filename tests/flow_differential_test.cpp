@@ -1,19 +1,21 @@
 // Randomized differential suite for the flow layer (validation label).
 //
 // Three layers of cross-checks:
-//   * FlowNetwork vs. an augmenting-path reference and vs. the Dinic
-//     backend on seeded random networks — flow values and minimal min-cut
-//     source sides must agree exactly (integral capacities keep double
-//     arithmetic exact, so equality is bitwise).
-//   * Warm-started alpha schedules vs. a freshly built cold network at
-//     every step, including schedules that shrink capacities below the
-//     carried flow, plus deadline/cancel truncation with resume.
-//   * CoreExact end to end: warm vs. cold flow search, across thread
-//     counts, must return the identical densest subgraph.
+//   * FlowNetwork vs. an augmenting-path reference, the Dinic backend and
+//     an exhaustive cut enumeration on seeded random networks — flow
+//     values, the minimal and the maximal min-cut source sides must agree
+//     exactly.
+//   * A network reused across an alpha schedule vs. a freshly built one at
+//     every step, including steps that shrink capacities below the flow
+//     the previous solve carried, plus deadline/cancel truncation followed
+//     by a full solve.
+//   * CoreExact and Exact end to end: across thread counts and pruning
+//     toggles, the identical densest subgraph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -65,77 +67,126 @@ double ReferenceMaxFlow(std::vector<std::vector<double>> cap, int s, int t) {
 
 class FlowDifferentialTest : public ::testing::TestWithParam<int> {};
 
+// Exhaustive reference for small networks: the minimum cut value over all
+// source sides X (s in X, t not), and the intersection and union of the
+// minimizing X — the minimal and maximal min-cut source sides.
+struct CutReference {
+  int64_t value = 0;
+  std::vector<NodeId> minimal;
+  std::vector<NodeId> maximal;
+};
+
+CutReference EnumerateCuts(const std::vector<std::vector<int64_t>>& cap,
+                           int s, int t) {
+  const int n = static_cast<int>(cap.size());
+  CutReference ref;
+  ref.value = std::numeric_limits<int64_t>::max();
+  uint32_t meet = 0, join = 0;
+  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+    if (!((mask >> s) & 1u) || ((mask >> t) & 1u)) continue;
+    int64_t value = 0;
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) {
+        if (((mask >> u) & 1u) && !((mask >> v) & 1u)) value += cap[u][v];
+      }
+    }
+    if (value < ref.value) {
+      ref.value = value;
+      meet = join = mask;
+    } else if (value == ref.value) {
+      meet &= mask;
+      join |= mask;
+    }
+  }
+  for (int v = 0; v < n; ++v) {
+    if ((meet >> v) & 1u) ref.minimal.push_back(v);
+    if ((join >> v) & 1u) ref.maximal.push_back(v);
+  }
+  return ref;
+}
+
 TEST_P(FlowDifferentialTest, MatchesReferenceAndDinic) {
   Rng rng(GetParam());
   const int n = 2 + static_cast<int>(rng.NextBounded(12));
   std::vector<std::vector<double>> cap(n, std::vector<double>(n, 0.0));
+  std::vector<std::vector<int64_t>> int_cap(n, std::vector<int64_t>(n, 0));
   FlowNetwork net(n);
   MaxFlowNetwork dinic(n);
   for (int u = 0; u < n; ++u) {
     for (int v = 0; v < n; ++v) {
       if (u != v && rng.NextBernoulli(0.4)) {
-        const double c = static_cast<double>(rng.NextBounded(10));
-        cap[u][v] += c;
+        const int64_t c = static_cast<int64_t>(rng.NextBounded(10));
+        cap[u][v] += static_cast<double>(c);
+        int_cap[u][v] += c;
         net.AddArc(u, v, c);
-        dinic.AddArc(u, v, c);
+        dinic.AddArc(u, v, static_cast<double>(c));
       }
     }
   }
   const double expected = ReferenceMaxFlow(cap, 0, n - 1);
-  EXPECT_EQ(net.MaxFlow(0, n - 1), expected);
+  EXPECT_EQ(static_cast<double>(net.MaxFlow(0, n - 1)), expected);
   EXPECT_EQ(dinic.MaxFlow(0, n - 1), expected);
   // The minimal min-cut source side is unique across max flows, so two
   // independent engines must extract the identical set.
   const auto side = net.MinCutSourceSide(0);
   const std::vector<NodeId> dinic_side = dinic.MinCutSourceSide(0);
   EXPECT_EQ(side, dinic_side);
+  // Both extreme sides against the exhaustive enumeration of all cuts.
+  const CutReference ref = EnumerateCuts(int_cap, 0, n - 1);
+  EXPECT_EQ(static_cast<double>(ref.value), expected);
+  EXPECT_EQ(side, ref.minimal);
+  EXPECT_EQ(net.MaximalMinCutSourceSide(n - 1), ref.maximal);
 }
 
 TEST_P(FlowDifferentialTest, WarmScheduleMatchesColdBitwise) {
-  // Random layered "alpha network" + a random dyadic retune schedule for
-  // the sink arcs. After each retune, the warm-started network must match
-  // a cold-built one bitwise on value and cut — including steps where the
-  // new capacity undercuts the carried flow.
+  // Random layered "alpha network" + a random retune schedule for the sink
+  // arcs (guesses k/8 with every capacity scaled by 8). After each retune,
+  // the network reused across the schedule must match a freshly built one
+  // bitwise on value and both cut sides — including steps where the new
+  // capacity undercuts the flow the previous solve carried.
   Rng rng(1000 + GetParam());
   const NodeId middle = 4 + static_cast<NodeId>(rng.NextBounded(12));
   const NodeId t = middle + 1;
-  std::vector<double> source_caps(middle);
+  std::vector<int64_t> source_caps(middle);
   std::vector<std::pair<NodeId, NodeId>> cross;
   for (NodeId v = 0; v < middle; ++v) {
-    source_caps[v] = static_cast<double>(rng.NextBounded(9));
+    source_caps[v] = 8 * static_cast<int64_t>(rng.NextBounded(9));
     for (NodeId w = 0; w < middle; ++w) {
       if (v != w && rng.NextBernoulli(0.25)) cross.push_back({v, w});
     }
   }
   // Both networks must get the same cross-arc capacities: record them once
   // instead of re-running the rng per build.
-  std::vector<double> cross_caps;
+  std::vector<int64_t> cross_caps;
   for (size_t i = 0; i < cross.size(); ++i) {
-    cross_caps.push_back(static_cast<double>(1 + rng.NextBounded(3)));
+    cross_caps.push_back(8 * static_cast<int64_t>(1 + rng.NextBounded(3)));
   }
   auto build_fixed = [&](FlowNetwork& net,
                          std::vector<FlowNetwork::ArcId>& alpha) {
     for (NodeId v = 0; v < middle; ++v) {
       net.AddArc(0, v + 1, source_caps[v]);
-      alpha.push_back(net.AddArc(v + 1, t, 0.0));
+      alpha.push_back(net.AddArc(v + 1, t, 0));
     }
     for (size_t i = 0; i < cross.size(); ++i) {
       net.AddArc(cross[i].first + 1, cross[i].second + 1, cross_caps[i]);
     }
   };
-  FlowNetwork warm(middle + 2);
-  std::vector<FlowNetwork::ArcId> warm_alpha;
-  build_fixed(warm, warm_alpha);
+  FlowNetwork reused(middle + 2);
+  std::vector<FlowNetwork::ArcId> reused_alpha;
+  build_fixed(reused, reused_alpha);
   for (int step = 0; step < 8; ++step) {
-    const double alpha = static_cast<double>(rng.NextBounded(65)) / 8.0;
-    for (const auto arc : warm_alpha) warm.SetCapacity(arc, alpha);
-    FlowNetwork cold(middle + 2);
-    std::vector<FlowNetwork::ArcId> cold_alpha;
-    build_fixed(cold, cold_alpha);
-    for (const auto arc : cold_alpha) cold.SetCapacity(arc, alpha);
-    ASSERT_EQ(warm.MaxFlow(0, t), cold.MaxFlow(0, t))
+    const int64_t alpha = static_cast<int64_t>(rng.NextBounded(65));
+    for (const auto arc : reused_alpha) reused.SetCapacity(arc, alpha);
+    FlowNetwork fresh(middle + 2);
+    std::vector<FlowNetwork::ArcId> fresh_alpha;
+    build_fixed(fresh, fresh_alpha);
+    for (const auto arc : fresh_alpha) fresh.SetCapacity(arc, alpha);
+    ASSERT_EQ(reused.MaxFlow(0, t), fresh.MaxFlow(0, t))
         << "seed=" << GetParam() << " step=" << step << " alpha=" << alpha;
-    ASSERT_EQ(warm.MinCutSourceSide(0), cold.MinCutSourceSide(0))
+    ASSERT_EQ(reused.MinCutSourceSide(0), fresh.MinCutSourceSide(0))
+        << "seed=" << GetParam() << " step=" << step << " alpha=" << alpha;
+    ASSERT_EQ(reused.MaximalMinCutSourceSide(t),
+              fresh.MaximalMinCutSourceSide(t))
         << "seed=" << GetParam() << " step=" << step << " alpha=" << alpha;
   }
 }
@@ -148,79 +199,74 @@ TEST_P(FlowDifferentialTest, TruncatedSolveResumesToExactValue) {
   for (int u = 0; u < n; ++u) {
     for (int v = 0; v < n; ++v) {
       if (u != v && rng.NextBernoulli(0.4)) {
-        const double c = static_cast<double>(rng.NextBounded(8));
+        const int64_t c = static_cast<int64_t>(rng.NextBounded(8));
         net.AddArc(u, v, c);
         reference.AddArc(u, v, c);
       }
     }
   }
-  const double expected = reference.MaxFlow(0, n - 1);
+  const int64_t expected = reference.MaxFlow(0, n - 1);
   // Cancelled from the start: the call returns its (possibly zero)
-  // flow-so-far and must leave the preflow consistent.
+  // flow-so-far; the next call routes from scratch to the exact value.
   std::atomic<bool> cancelled{true};
-  const double truncated = net.MaxFlow(
+  const int64_t truncated = net.MaxFlow(
       0, n - 1, ExecutionContext().WithCancelFlag(&cancelled));
-  EXPECT_LE(truncated, expected + FlowNetwork::kEps);
+  EXPECT_LE(truncated, expected);
   cancelled.store(false);
   EXPECT_EQ(net.MaxFlow(0, n - 1), expected);
   EXPECT_EQ(net.MinCutSourceSide(0), reference.MinCutSourceSide(0));
+  EXPECT_EQ(net.MaximalMinCutSourceSide(n - 1),
+            reference.MaximalMinCutSourceSide(n - 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowDifferentialTest,
                          ::testing::Range(0, 25));
 
-// End to end: CoreExact's densest-subgraph answer must be identical with
-// the warm-started flow search, the cold ablation, and across thread
-// budgets (the acceptance bar bench_flow re-checks at registry scale).
-TEST(FlowDifferentialCoreExact, WarmColdAndThreadsAgree) {
+// End to end: CoreExact's densest-subgraph answer must be identical across
+// thread budgets and pruning toggles (the acceptance bar bench_flow
+// re-checks at registry scale).
+TEST(FlowDifferentialCoreExact, ThreadsAndPruningsAgree) {
   for (const uint64_t seed : {3u, 11u}) {
-    // ER, not planted cliques: on a planted clique Theorem 1's lower bound
-    // is already the optimum ((c-1)/2 = kmax/2) and the search ends after
-    // one infeasibility cut, leaving nothing to warm-start.
     const Graph g = gen::ErdosRenyi(150, 0.12, seed);
     for (const int h : {2, 3}) {
       CliqueOracle oracle(h);
-      // Pruning1/2 can make the search trivial (the peeled bound is already
-      // optimal, one infeasible cut per component); disable them so the
-      // binary search genuinely iterates and warm starts have work to skip.
-      CoreExactOptions warm_options;
-      warm_options.pruning1 = false;
-      warm_options.pruning2 = false;
-      const DensestResult baseline = CoreExact(g, oracle, warm_options);
-      EXPECT_GT(baseline.stats.flow_warm_starts, 0u)
+      // Without Pruning1/2 the search starts from the kmax-core's density
+      // and needs several cuts; with them it often needs one.
+      CoreExactOptions bare;
+      bare.pruning1 = false;
+      bare.pruning2 = false;
+      const DensestResult baseline = CoreExact(g, oracle, bare);
+      EXPECT_GT(baseline.stats.flow_max_flow_calls, 0u)
           << "seed=" << seed << " h=" << h;
-      CoreExactOptions cold_options = warm_options;
-      cold_options.flow_warm_start = false;
-      const DensestResult cold = CoreExact(g, oracle, cold_options);
-      EXPECT_EQ(cold.stats.flow_warm_starts, 0u);
-      EXPECT_EQ(baseline.vertices, cold.vertices) << "seed=" << seed;
-      EXPECT_EQ(baseline.density, cold.density) << "seed=" << seed;
+      EXPECT_EQ(baseline.stats.flow_warm_starts, 0u);
       for (const unsigned threads : {2u, 4u}) {
-        const DensestResult parallel =
-            CoreExact(g, oracle, warm_options,
-                      ExecutionContext().WithThreads(threads));
+        const DensestResult parallel = CoreExact(
+            g, oracle, bare, ExecutionContext().WithThreads(threads));
         EXPECT_EQ(baseline.vertices, parallel.vertices)
             << "seed=" << seed << " h=" << h << " threads=" << threads;
         EXPECT_EQ(baseline.density, parallel.density)
             << "seed=" << seed << " h=" << h << " threads=" << threads;
       }
-      // Default options (all prunings on) must land on the same subgraph.
+      // Default options (all prunings on) and the whole-graph search must
+      // land on the same union of densest subgraphs.
       const DensestResult pruned = CoreExact(g, oracle);
-      EXPECT_EQ(baseline.density, pruned.density)
+      EXPECT_EQ(baseline.vertices, pruned.vertices)
+          << "seed=" << seed << " h=" << h;
+      const DensestResult whole = Exact(g, oracle);
+      EXPECT_EQ(baseline.vertices, whole.vertices)
           << "seed=" << seed << " h=" << h;
     }
   }
 }
 
-TEST(FlowDifferentialExact, WarmSearchMatchesPeeledTruth) {
-  // Exact (whole-graph binary search, warm-started by default) against
-  // the same run under a multi-thread context.
+TEST(FlowDifferentialExact, SearchAgreesAcrossThreads) {
+  // Exact (whole-graph Dinkelbach search) against the same run under a
+  // multi-thread context.
   const Graph g = gen::PlantedClique(80, 0.06, 10, 17);
   CliqueOracle edge(2);
   const DensestResult sequential = Exact(g, edge);
-  EXPECT_GT(sequential.stats.flow_warm_starts, 0u);
-  EXPECT_GT(sequential.stats.flow_max_flow_calls,
-            sequential.stats.flow_warm_starts);
+  EXPECT_GT(sequential.stats.flow_max_flow_calls, 0u);
+  EXPECT_EQ(sequential.stats.flow_warm_starts, 0u);
   const DensestResult parallel =
       Exact(g, edge, ExecutionContext().WithThreads(4));
   EXPECT_EQ(sequential.vertices, parallel.vertices);

@@ -198,6 +198,38 @@ TEST(PatternMatcher, CliquePatternMatchesCliqueSemantics) {
   }
 }
 
+TEST(PatternMatcher, InstanceGroupsMatchEmbeddingReference) {
+  // kInstances groups by sorting flat vertex tuples; kEmbeddings is the
+  // reference grouping (a map from vertex set to distinct image edge
+  // sets). Same groups, same multiplicities, same order — with and without
+  // an alive mask.
+  for (const uint64_t seed : {21u, 22u, 23u}) {
+    Graph g = gen::BarabasiAlbert(45, 4, seed);
+    std::vector<char> alive(g.NumVertices(), 1);
+    for (VertexId v = 0; v < g.NumVertices(); v += 7) alive[v] = 0;
+    for (const Pattern& p :
+         {Pattern::TwoStar(), Pattern::ThreeStar(), Pattern::Diamond(),
+          Pattern::TwoTriangle(), Pattern::Clique(3)}) {
+      PatternMatcher flat(g, p, MatchSemantics::kInstances);
+      PatternMatcher reference(g, p, MatchSemantics::kEmbeddings);
+      for (const bool masked : {false, true}) {
+        const std::span<const char> mask =
+            masked ? std::span<const char>(alive) : std::span<const char>();
+        const std::vector<InstanceGroup> got = flat.Groups(mask);
+        const std::vector<InstanceGroup> want = reference.Groups(mask);
+        ASSERT_EQ(got.size(), want.size())
+            << p.name() << " seed=" << seed << " masked=" << masked;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].vertices, want[i].vertices)
+              << p.name() << " group " << i;
+          EXPECT_EQ(got[i].multiplicity, want[i].multiplicity)
+              << p.name() << " group " << i;
+        }
+      }
+    }
+  }
+}
+
 // --- Specialised kernels vs generic engine ---------------------------------
 
 class SpecialKernelTest : public ::testing::TestWithParam<int> {};

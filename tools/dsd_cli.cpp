@@ -19,7 +19,7 @@
 //
 // Exit codes map the Status taxonomy so scripts can branch without parsing
 // stderr: 0 success, 1 environment failure (IoError), 2 bad request
-// (usage, InvalidArgument, NotFound), 3 blown time budget
+// (usage, InvalidArgument, NotFound, OutOfRange), 3 blown time budget
 // (DeadlineExceeded), 4 capacity shed (ResourceExhausted — surfaced by
 // embedders with admission control, e.g. dsd_server).
 #include <cstdio>
@@ -113,7 +113,8 @@ int ExitCodeFor(const dsd::Status& status) {
   if (status.IsIoError()) return 1;
   if (status.IsDeadlineExceeded()) return 3;
   if (status.IsResourceExhausted()) return 4;
-  return 2;  // InvalidArgument, NotFound: a bad request either way.
+  // InvalidArgument, NotFound, OutOfRange: a bad request either way.
+  return 2;
 }
 
 [[noreturn]] void ListAndExit(const std::vector<std::string>& names) {
