@@ -1,16 +1,19 @@
 // Ablation benches for the design choices DESIGN.md calls out:
-//  (a) min-cut backend: Dinic vs push-relabel on real DSD flow networks;
+//  (a) min-cut backend: the Dinic reference vs FlowNetwork, the
+//      integer-capacity push-relabel engine the exact solvers run on,
+//      on Goldberg EDS networks; exits non-zero if their flows differ;
 //  (b) appendix-D kernels: specialised star/4-cycle peeling vs the generic
 //      embedding engine inside IncApp;
 //  (c) construct+ grouping: grouped vs ungrouped pattern-network size and
 //      solve time at a fixed alpha.
+#include <cstdint>
 #include <cstdio>
 
 #include "dsd/exact.h"
 #include "dsd/flow_networks.h"
 #include "dsd/inc_app.h"
+#include "flow/flow_network.h"
 #include "flow/max_flow.h"
-#include "flow/push_relabel.h"
 #include "graph/generators.h"
 #include "harness/datasets.h"
 #include "harness/report.h"
@@ -19,42 +22,48 @@
 namespace dsd::bench {
 namespace {
 
-// (a) Solve the same EDS network with both max-flow backends.
-void FlowBackendAblation() {
-  Banner("Ablation (a): Dinic vs push-relabel on Goldberg EDS networks");
-  Table table({"graph", "alpha", "Dinic", "PushRelabel", "flows equal"});
+// (a) Solve the same EDS network with both max-flow backends. At integer
+// alpha every capacity (m, m + 2 alpha - deg, 1) is an integer, so the two
+// flow values must be equal. Returns false if any pair differs.
+bool FlowBackendAblation() {
+  Banner("Ablation (a): Dinic vs FlowNetwork on Goldberg EDS networks");
+  Table table({"graph", "alpha", "Dinic", "FlowNetwork", "flows equal"});
+  bool all_equal = true;
   for (const DatasetSpec& spec : SmallDatasets()) {
     Graph g = spec.make();
-    const double m = static_cast<double>(g.NumEdges());
+    const int64_t m = static_cast<int64_t>(g.NumEdges());
     const VertexId n = g.NumVertices();
-    for (double alpha : {1.0, 4.0}) {
+    for (const int64_t alpha : {1, 4}) {
       MaxFlowNetwork dinic(n + 2);
-      PushRelabelNetwork pr(n + 2);
+      FlowNetwork net(n + 2);
       for (VertexId v = 0; v < n; ++v) {
-        double vt = m + 2 * alpha - static_cast<double>(g.Degree(v));
-        dinic.AddArc(0, v + 1, m);
-        dinic.AddArc(v + 1, n + 1, vt);
-        pr.AddArc(0, v + 1, m);
-        pr.AddArc(v + 1, n + 1, vt);
+        const int64_t vt = m + 2 * alpha - static_cast<int64_t>(g.Degree(v));
+        dinic.AddArc(0, v + 1, static_cast<double>(m));
+        dinic.AddArc(v + 1, n + 1, static_cast<double>(vt));
+        net.AddArc(0, v + 1, m);
+        net.AddArc(v + 1, n + 1, vt);
       }
       for (const Edge& e : g.Edges()) {
         dinic.AddArc(e.first + 1, e.second + 1, 1.0);
         dinic.AddArc(e.second + 1, e.first + 1, 1.0);
-        pr.AddArc(e.first + 1, e.second + 1, 1.0);
-        pr.AddArc(e.second + 1, e.first + 1, 1.0);
+        net.AddArc(e.first + 1, e.second + 1, 1);
+        net.AddArc(e.second + 1, e.first + 1, 1);
       }
       Timer dinic_timer;
-      double dinic_flow = dinic.MaxFlow(0, n + 1);
-      double dinic_seconds = dinic_timer.Seconds();
-      Timer pr_timer;
-      double pr_flow = pr.MaxFlow(0, n + 1);
-      double pr_seconds = pr_timer.Seconds();
-      table.AddRow({spec.name, FormatDouble(alpha, 1),
-                    FormatSeconds(dinic_seconds), FormatSeconds(pr_seconds),
-                    std::abs(dinic_flow - pr_flow) < 1e-4 ? "yes" : "NO"});
+      const double dinic_flow = dinic.MaxFlow(0, n + 1);
+      const double dinic_seconds = dinic_timer.Seconds();
+      Timer net_timer;
+      const int64_t net_flow = net.MaxFlow(0, n + 1);
+      const double net_seconds = net_timer.Seconds();
+      const bool equal = dinic_flow == static_cast<double>(net_flow);
+      all_equal = all_equal && equal;
+      table.AddRow({spec.name, std::to_string(alpha),
+                    FormatSeconds(dinic_seconds), FormatSeconds(net_seconds),
+                    equal ? "yes" : "NO"});
     }
   }
   table.Print();
+  return all_equal;
 }
 
 // (b) IncApp with and without the appendix-D peeling kernels.
@@ -108,8 +117,12 @@ void GroupingAblation() {
 
 int main() {
   std::printf("Ablation benches for DESIGN.md's design choices\n");
-  dsd::bench::FlowBackendAblation();
+  const bool flows_equal = dsd::bench::FlowBackendAblation();
   dsd::bench::KernelAblation();
   dsd::bench::GroupingAblation();
+  if (!flows_equal) {
+    std::fprintf(stderr, "ablation (a): Dinic and FlowNetwork flows differ\n");
+    return 1;
+  }
   return 0;
 }

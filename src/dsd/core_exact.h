@@ -45,8 +45,9 @@ struct CoreExactOptions {
 /// PatternOracle this is CorePExact (Section 7.2), using the construct+
 /// grouped flow network. `ctx` parallelises/memoizes the oracle's degree
 /// and count passes (decomposition, core restriction, component measuring,
-/// network construction, max flows) and is polled after every min cut for
-/// cooperative early exit (best-effort result; see dsd::Solve).
+/// network construction); the max flows run on the calling thread. It is
+/// polled after every min cut for cooperative early exit (best-effort
+/// result; see dsd::Solve).
 /// result.status is OutOfRange when a flow network cannot be represented
 /// in int64.
 DensestResult CoreExact(const Graph& graph, const MotifOracle& oracle,

@@ -21,11 +21,11 @@ namespace dsd {
 /// larger cliques and the grouped pattern network otherwise. The answer is
 /// the union of all densest subgraphs (the maximal min cut at rho*), so it
 /// is the same at every thread count; empty when no instance exists.
-/// `ctx` parallelises the degree computations and the max flows and is
-/// polled after every cut (a stopped run returns the densest set found so
-/// far — only meaningful when the result will be discarded, as dsd::Solve
-/// does on a blown deadline). result.status is OutOfRange when the flow
-/// network cannot be represented in int64.
+/// `ctx` parallelises the degree computations (the max flows run on the
+/// calling thread) and is polled after every cut (a stopped run returns
+/// the densest set found so far — only meaningful when the result will be
+/// discarded, as dsd::Solve does on a blown deadline). result.status is
+/// OutOfRange when the flow network cannot be represented in int64.
 DensestResult Exact(const Graph& graph, const MotifOracle& oracle,
                     const ExecutionContext& ctx = ExecutionContext());
 

@@ -58,10 +58,10 @@ struct DensityCut {
 
 /// Min-cut oracle of the density search.
 ///
-/// Solvers run on the flow/flow_network.h engine; discharge parallelises
-/// over the ExecutionContext the solver was built with (threads, deadline,
-/// cancel — a stopped Solve returns the cut of an incomplete flow, which
-/// callers must discard).
+/// Solvers run on the flow/flow_network.h engine on the calling thread; the
+/// ExecutionContext the solver was built with supplies the deadline and
+/// cancel flag (a stopped Solve returns the cut of an incomplete flow,
+/// which callers must discard).
 class DensestFlowSolver {
  public:
   virtual ~DensestFlowSolver() = default;

@@ -1,101 +1,23 @@
 #include "flow/flow_network.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <limits>
 #include <string>
 
-#include "parallel/parallel_for.h"
-
 namespace dsd {
 namespace {
 
-// All shared flow state (residual_, excess_, height_, queued_) lives in
-// plain vectors — std::atomic is not movable. In a parallel round every
-// access that can race goes through std::atomic_ref (kShared = true); the
-// per-round thread join is the synchronisation point, and within a round
-// the default (seq_cst) orderings keep the invariant reasoning simple.
-// Sequential rounds use the same code with plain accesses.
-
-template <bool kShared, typename T>
-inline T Load(const T& ref) {
-  if constexpr (kShared) {
-    return std::atomic_ref<T>(const_cast<T&>(ref)).load();
-  } else {
-    return ref;
-  }
-}
-
-/// Returns the value before the add.
-template <bool kShared>
-inline int64_t Add(int64_t& ref, int64_t delta) {
-  if constexpr (kShared) {
-    return std::atomic_ref<int64_t>(ref).fetch_add(delta);
-  } else {
-    const int64_t before = ref;
-    ref += delta;
-    return before;
-  }
-}
-
-template <bool kShared>
-inline void Store(uint32_t& ref, uint32_t value) {
-  if constexpr (kShared) {
-    std::atomic_ref<uint32_t>(ref).store(value);
-  } else {
-    ref = value;
-  }
-}
-
-/// One-shot 0 -> 1 claim; the winner owns enqueueing the node.
-template <bool kShared>
-inline bool TryClaim(uint8_t& flag) {
-  if constexpr (kShared) {
-    uint8_t expected = 0;
-    return std::atomic_ref<uint8_t>(flag).compare_exchange_strong(expected,
-                                                                   1);
-  } else {
-    if (flag != 0) return false;
-    flag = 1;
-    return true;
-  }
-}
-
-template <bool kShared>
-inline void ReleaseClaim(uint8_t& flag) {
-  if constexpr (kShared) {
-    std::atomic_ref<uint8_t>(flag).store(0);
-  } else {
-    flag = 0;
-  }
-}
-
-/// Relabels consumed per node visit before it yields its worklist slot —
-/// keeps one stuck node from starving the round.
+/// Relabels consumed per node visit before it yields its worklist slot
+/// to the back of the queue.
 constexpr uint32_t kMaxRelabelsPerVisit = 8;
 
-/// Below this frontier size a round stays on the calling thread: spawning
-/// workers costs more than the discharges they would do.
-constexpr size_t kParallelCutoff = 512;
-
 }  // namespace
-
-/// Per-worker scratch for one discharge round; merged after the join, so
-/// stats and the next frontier never race.
-struct FlowNetwork::WorkerState {
-  std::vector<NodeId> next;
-  uint64_t discharges = 0;
-  uint64_t pushes = 0;
-  uint64_t relabels = 0;
-  uint64_t work = 0;  // arc scans, for the global-relabel heartbeat
-};
 
 FlowNetwork::FlowNetwork(NodeId num_nodes)
     : excess_(num_nodes, 0),
       height_(num_nodes, 0),
-      cursor_(num_nodes, 0),
-      queued_(num_nodes, 0) {}
+      cursor_(num_nodes, 0) {}
 
 void FlowNetwork::ReserveArcs(size_t forward_arcs) {
   head_.reserve(head_.size() + 2 * forward_arcs);
@@ -171,9 +93,8 @@ void FlowNetwork::UndoCsr() {
 /// Exact-distance relabel of every node against the current residual graph:
 /// a two-ended BFS from t (height = distance to t) then from s (height =
 /// n + distance to s, the phase-2 labels that route trapped excess back to
-/// the source). Runs sequentially between discharge rounds, so plain
-/// accesses are safe. Also resets the arc cursors — exact heights
-/// invalidate saved scan positions.
+/// the source). Also resets the arc cursors — exact heights invalidate
+/// saved scan positions.
 void FlowNetwork::GlobalRelabel(NodeId s, NodeId t) {
   ++stats_.global_relabels;
   const NodeId n = num_nodes();
@@ -218,12 +139,10 @@ void FlowNetwork::GlobalRelabel(NodeId s, NodeId t) {
 void FlowNetwork::BuildFrontier(NodeId s, NodeId t,
                                 std::vector<NodeId>& frontier) {
   const NodeId n = num_nodes();
-  const uint32_t hmax = 2 * n;
   frontier.clear();
-  std::fill(queued_.begin(), queued_.end(), 0);
   for (NodeId v = 0; v < n; ++v) {
-    if (v != s && v != t && excess_[v] > 0 && height_[v] < hmax) {
-      queued_[v] = 1;
+    if (v != s && v != t && excess_[v] > 0) {
+      assert(height_[v] < 2 * n);
       frontier.push_back(v);
     }
   }
@@ -261,19 +180,24 @@ void FlowNetwork::Discharge(NodeId s, NodeId t, const ExecutionContext& ctx) {
   const uint64_t gr_interval =
       std::max<uint64_t>(4ull * num_nodes() + num_arcs(), 1024);
   std::vector<NodeId> frontier;
+  std::vector<NodeId> next;
   BuildFrontier(s, t, frontier);
   uint64_t work_since_gr = 0;
 
+  // Every active node (positive excess, not s or t) is in `frontier` or
+  // `next` exactly once: it is appended when its excess rises from zero
+  // and when it yields. Heights stay a valid labelling, and an active node
+  // has a residual path to s, so it never climbs to 2n; an empty worklist
+  // therefore means every excess has reached s or t.
   while (!ctx.ShouldStop()) {
     if (frontier.empty()) {
-      // Concurrent relabels can overshoot exact distances and park nodes
-      // at 2n with excess; one exact relabel re-admits them. Done only
-      // when the frontier is empty against exact heights.
-      GlobalRelabel(s, t);
-      BuildFrontier(s, t, frontier);
-      work_since_gr = 0;
-      if (frontier.empty()) return;
-      continue;
+#ifndef NDEBUG
+      for (NodeId v = 0; v < num_nodes(); ++v) {
+        assert((v == s || v == t || excess_[v] == 0) &&
+               "discharge ended with a node still holding excess");
+      }
+#endif
+      return;
     }
     if (work_since_gr >= gr_interval) {
       GlobalRelabel(s, t);
@@ -281,111 +205,57 @@ void FlowNetwork::Discharge(NodeId s, NodeId t, const ExecutionContext& ctx) {
       work_since_gr = 0;
       continue;
     }
-    const unsigned threads =
-        ResolveThreadCount(ctx.threads, frontier.size());
-    if (threads <= 1 || frontier.size() < kParallelCutoff) {
-      WorkerState local;
-      for (const NodeId v : frontier) {
-        ReleaseClaim<false>(queued_[v]);
-        DischargeNode<false>(v, s, t, local);
-      }
-      frontier.swap(local.next);
-      stats_.discharges += local.discharges;
-      stats_.pushes += local.pushes;
-      stats_.relabels += local.relabels;
-      work_since_gr += local.work;
-    } else {
-      std::vector<WorkerState> states(threads);
-      ParallelForStrided(frontier.size(), threads,
-                         [&](unsigned worker, uint64_t i) {
-                           const NodeId v = frontier[i];
-                           // Release before discharging so excess arriving
-                           // mid-visit re-enqueues v for the next round.
-                           ReleaseClaim<true>(queued_[v]);
-                           DischargeNode<true>(v, s, t, states[worker]);
-                         });
-      frontier.clear();
-      for (const WorkerState& st : states) {
-        frontier.insert(frontier.end(), st.next.begin(), st.next.end());
-        stats_.discharges += st.discharges;
-        stats_.pushes += st.pushes;
-        stats_.relabels += st.relabels;
-        work_since_gr += st.work;
-      }
+    next.clear();
+    for (const NodeId v : frontier) {
+      work_since_gr += DischargeNode(v, s, t, next);
     }
+    frontier.swap(next);
   }
 }
 
-template <bool kShared>
-void FlowNetwork::DischargeNode(NodeId v, NodeId s, NodeId t,
-                                WorkerState& local) {
-  const uint32_t hmax = 2 * num_nodes();
+uint64_t FlowNetwork::DischargeNode(NodeId v, NodeId s, NodeId t,
+                                    std::vector<NodeId>& next) {
   const uint32_t begin = out_begin_[v];
   const uint32_t end = out_begin_[v + 1];
-  int64_t ev = Load<kShared>(excess_[v]);
-  if (ev <= 0) return;
-  ++local.discharges;
+  assert(excess_[v] > 0);
+  ++stats_.discharges;
+  uint64_t work = 0;
   uint32_t relabels_left = kMaxRelabelsPerVisit;
   uint32_t a = begin + cursor_[v];
   while (true) {
-    const uint32_t hv = Load<kShared>(height_[v]);
-    if (hv >= hmax) {
-      // Parked above every label; the next global relabel re-admits v if
-      // it still holds excess.
-      cursor_[v] = 0;
-      return;
-    }
-    while (a < end && ev > 0) {
-      ++local.work;
-      const int64_t ra = Load<kShared>(residual_[a]);
+    const uint32_t hv = height_[v];
+    for (; a < end; ++a) {
+      ++work;
       const NodeId w = head_[a];
-      // A concurrent relabel of the head can make this check stale — the
-      // push then lands one level too low. Harmless: the preflow stays
-      // valid, and the heartbeat's exact relabel restores admissibility.
-      if (ra > 0 && hv == Load<kShared>(height_[w]) + 1) {
-        const int64_t amount = std::min(ev, ra);
-        Add<kShared>(residual_[a], -amount);
-        Add<kShared>(residual_[paired_[a]], amount);
-        Add<kShared>(excess_[v], -amount);
-        const int64_t w_before = Add<kShared>(excess_[w], amount);
-        ev -= amount;
-        ++local.pushes;
-        // Inactive -> active transition: exactly one pusher sees the old
-        // excess at zero and owns the (claimed) enqueue.
-        if (w_before <= 0 && w != s && w != t &&
-            TryClaim<kShared>(queued_[w])) {
-          local.next.push_back(w);
-        }
-        if (ev > 0) ++a;  // arc saturated; otherwise stay on it
-      } else {
-        ++a;
+      if (residual_[a] == 0 || hv != height_[w] + 1) continue;
+      const int64_t amount = std::min(excess_[v], residual_[a]);
+      residual_[a] -= amount;
+      residual_[paired_[a]] += amount;
+      excess_[v] -= amount;
+      if (excess_[w] == 0 && w != s && w != t) next.push_back(w);
+      excess_[w] += amount;
+      ++stats_.pushes;
+      if (excess_[v] == 0) {
+        cursor_[v] = a - begin;  // the arc may have residual left
+        return work;
       }
     }
-    // Re-read: pushes from other workers may have landed mid-visit.
-    ev = Load<kShared>(excess_[v]);
-    if (ev <= 0) {
-      cursor_[v] = a - begin;
-      return;
-    }
-    if (a < end) continue;  // fresh excess, cursor still live
     if (relabels_left == 0) {
-      // Yield the slot instead of monopolising the round.
       cursor_[v] = a - begin;
-      if (TryClaim<kShared>(queued_[v])) local.next.push_back(v);
-      return;
+      next.push_back(v);
+      return work;
     }
     --relabels_left;
-    uint32_t best = hmax;
+    // Arcs behind the cursor stay inadmissible until v relabels, so every
+    // residual arc leads to a node at height >= hv.
+    uint32_t best = 2 * num_nodes();
     for (uint32_t b = begin; b < end; ++b) {
-      ++local.work;
-      if (Load<kShared>(residual_[b]) > 0) {
-        const uint32_t hw = Load<kShared>(height_[head_[b]]);
-        if (hw + 1 < best) best = hw + 1;
-      }
+      ++work;
+      if (residual_[b] > 0) best = std::min(best, height_[head_[b]] + 1);
     }
-    const uint32_t hv_now = Load<kShared>(height_[v]);
-    Store<kShared>(height_[v], std::min(std::max(best, hv_now + 1), hmax));
-    ++local.relabels;
+    assert(best > hv && best < 2 * num_nodes());
+    height_[v] = best;
+    ++stats_.relabels;
     a = begin;
   }
 }

@@ -1,5 +1,5 @@
 // FlowNetwork: the max-flow / min-cut engine behind the exact DSD
-// algorithms — integer capacities, CSR adjacency, parallel discharge.
+// algorithms — integer capacities, CSR adjacency, sequential push-relabel.
 //
 // The exact algorithms answer every density guess alpha = p / q with one
 // minimum st-cut on a network whose structure never changes; the solvers
@@ -15,20 +15,19 @@
 //     excesses are reset, a global relabel computes exact heights, every
 //     source arc whose head can reach t is saturated, and discharge routes
 //     the rest. No state carries over between calls.
-//   * Discharge runs over a shared worklist: rounds of parallel node
-//     discharges (atomic fetch_add on excesses and residuals, CAS-claimed
-//     activation flags, per-thread output buffers) with a global-relabel
-//     heartbeat. ctx.threads sizes the worker set; small frontiers stay on
-//     the calling thread without atomics, so a 1-thread context is plain
-//     sequential push-relabel.
+//   * Discharge is FIFO push-relabel in rounds over a worklist of active
+//     nodes, with a global-relabel heartbeat. It runs on the calling
+//     thread: a shared-worklist parallel variant measured slower at 4
+//     threads than at 1 on every flow-heavy workload (README, "Flow path").
 //
 // Determinism: capacities are integers, so arithmetic is exact. The
 // max-flow value is unique, and so are the inclusion-minimal and the
 // inclusion-maximal min-cut source sides: every minimum cut lies between
 // them, whichever maximum flow the discharge order found.
 // MinCutSourceSide and MaximalMinCutSourceSide therefore return the same
-// sets at every thread count. Callers keep the sum of all capacities
-// within int64 (CheckCapacitySum), which bounds every excess and residual.
+// sets whatever the caller's thread budget. Callers keep the sum of all
+// capacities within int64 (CheckCapacitySum), which bounds every excess
+// and residual.
 //
 // Cooperative stop: MaxFlow polls ctx.ShouldStop() at round granularity
 // and returns the flow routed so far; the cut sides of a stopped solve are
@@ -62,7 +61,7 @@ struct FlowStats {
   }
 };
 
-/// Parallel push-relabel max-flow with int64 capacities.
+/// Push-relabel max-flow with int64 capacities.
 class FlowNetwork {
  public:
   using NodeId = uint32_t;
@@ -101,7 +100,7 @@ class FlowNetwork {
   Status CheckCapacitySum() const;
 
   /// Max flow from s to t, routed from the configured capacities.
-  /// ctx supplies the worker budget and the cooperative stop.
+  /// ctx supplies the deadline and cancel flag; its thread budget is unused.
   int64_t MaxFlow(NodeId s, NodeId t,
                   const ExecutionContext& ctx = ExecutionContext());
 
@@ -117,8 +116,6 @@ class FlowNetwork {
   void ResetStats() { stats_ = FlowStats(); }
 
  private:
-  struct WorkerState;
-
   /// Storage slot of an arc: its id before the CSR is built, its CSR
   /// position after.
   uint32_t Slot(ArcId arc) const {
@@ -132,10 +129,10 @@ class FlowNetwork {
   void GlobalRelabel(NodeId s, NodeId t);
   void BuildFrontier(NodeId s, NodeId t, std::vector<NodeId>& frontier);
   void Discharge(NodeId s, NodeId t, const ExecutionContext& ctx);
-  /// kShared: other workers discharge concurrently, so shared state goes
-  /// through atomics; otherwise plain loads and stores.
-  template <bool kShared>
-  void DischargeNode(NodeId v, NodeId s, NodeId t, WorkerState& local);
+  /// Pushes and relabels active node v; nodes it activates, and v itself
+  /// if it yields with excess left, go to `next`. Returns the arcs scanned.
+  uint64_t DischargeNode(NodeId v, NodeId s, NodeId t,
+                         std::vector<NodeId>& next);
   /// Marks every node that reaches (toward_sink) or is reached from `root`
   /// through arcs with residual capacity left.
   std::vector<char> ResidualReach(NodeId root, bool toward_sink) const;
@@ -159,7 +156,6 @@ class FlowNetwork {
   std::vector<int64_t> excess_;
   std::vector<uint32_t> height_;
   std::vector<uint32_t> cursor_;  // current-arc offset per node
-  std::vector<uint8_t> queued_;   // CAS-claimed worklist membership
 
   FlowStats stats_;
 

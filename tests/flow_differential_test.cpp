@@ -4,7 +4,7 @@
 //   * FlowNetwork vs. an augmenting-path reference, the Dinic backend and
 //     an exhaustive cut enumeration on seeded random networks — flow
 //     values, the minimal and the maximal min-cut source sides must agree
-//     exactly.
+//     exactly — and vs. Dinic alone on one wide network.
 //   * A network reused across an alpha schedule vs. a freshly built one at
 //     every step, including steps that shrink capacities below the flow
 //     the previous solve carried, plus deadline/cancel truncation followed
@@ -221,6 +221,51 @@ TEST_P(FlowDifferentialTest, TruncatedSolveResumesToExactValue) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowDifferentialTest,
                          ::testing::Range(0, 25));
+
+// A wide random network: s -> 1500 middle nodes -> t plus random cross
+// arcs. Its first frontier holds every middle node, so the solve runs long
+// enough to fire the global-relabel heartbeat. Too large for the matrix
+// and exhaustive references: the minimal side is checked against Dinic,
+// the maximal side against Dinic on the reversed network (the nodes that
+// reach t in the residual graph are the reversal's minimal side from t).
+// A second solve on the same object must repeat all three answers.
+TEST(FlowDifferentialWide, MatchesDinicAndRepeats) {
+  const NodeId middle = 1500;
+  const NodeId t = middle + 1;
+  FlowNetwork net(middle + 2);
+  MaxFlowNetwork dinic(middle + 2);
+  MaxFlowNetwork reversed(middle + 2);
+  auto add = [&](NodeId u, NodeId v, int64_t c) {
+    net.AddArc(u, v, c);
+    dinic.AddArc(u, v, static_cast<double>(c));
+    reversed.AddArc(v, u, static_cast<double>(c));
+  };
+  Rng rng(1234);
+  for (NodeId v = 0; v < middle; ++v) {
+    add(0, v + 1, static_cast<int64_t>(1 + rng.NextBounded(6)));
+    add(v + 1, t, static_cast<int64_t>(1 + rng.NextBounded(4)));
+  }
+  for (NodeId v = 0; v < middle; ++v) {
+    const NodeId w = static_cast<NodeId>(rng.NextBounded(middle));
+    if (w != v) add(v + 1, w + 1, static_cast<int64_t>(rng.NextBounded(3)));
+  }
+  const double expected = dinic.MaxFlow(0, t);
+  const std::vector<NodeId> minimal = dinic.MinCutSourceSide(0);
+  EXPECT_EQ(reversed.MaxFlow(t, 0), expected);
+  std::vector<char> reaches_t(middle + 2, 0);
+  for (const NodeId v : reversed.MinCutSourceSide(t)) reaches_t[v] = 1;
+  std::vector<NodeId> maximal;
+  for (NodeId v = 0; v < middle + 2; ++v) {
+    if (!reaches_t[v]) maximal.push_back(v);
+  }
+  for (int solve = 0; solve < 2; ++solve) {
+    EXPECT_EQ(static_cast<double>(net.MaxFlow(0, t)), expected)
+        << "solve " << solve;
+    EXPECT_EQ(net.MinCutSourceSide(0), minimal) << "solve " << solve;
+    EXPECT_EQ(net.MaximalMinCutSourceSide(t), maximal) << "solve " << solve;
+  }
+  EXPECT_GT(net.stats().global_relabels, 2u) << "heartbeat never fired";
+}
 
 // End to end: CoreExact's densest-subgraph answer must be identical across
 // thread budgets and pruning toggles (the acceptance bar bench_flow

@@ -1,19 +1,20 @@
-// Tests for flow/flow_network: the integer-capacity parallel push-relabel
-// engine. Known instances, minimal and maximal min-cut sides, retuning a
-// reused network, deadline truncation, reverse-arc-id rejection, the int64
-// capacity-sum guard, and parallel-vs-sequential bitwise parity on
-// frontiers large enough to engage the worker pool (this suite runs under
-// the unit label so CI's TSan job races the discharge rounds).
+// Tests for flow/flow_network: the integer-capacity push-relabel engine.
+// Known instances, minimal and maximal min-cut sides, retuning a reused
+// network, deadline truncation, reverse-arc-id rejection, the int64
+// capacity-sum guard, and flow values and cut capacities against the
+// Dinic reference (flow/max_flow.h) on known and random networks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "dsd/execution_context.h"
 #include "flow/flow_network.h"
+#include "flow/max_flow.h"
 #include "util/random.h"
 
 namespace dsd {
@@ -250,53 +251,124 @@ TEST(FlowNetwork, CancelFlagTruncates) {
   EXPECT_EQ(net.MaxFlow(0, 2, ctx), 1);
 }
 
-// A wide random bipartite network: s -> 1500 middle nodes -> t plus random
-// cross arcs. The initial frontier holds every middle node, well above the
-// engine's parallel cutoff, so multi-thread contexts genuinely race the
-// discharge rounds (what the TSan job is here to check), and the result
-// must still be bitwise identical to the 1-thread run.
-class FlowNetworkParallelTest : public ::testing::TestWithParam<unsigned> {};
+// FlowNetwork (push-relabel) against Dinic.
 
-TEST_P(FlowNetworkParallelTest, ParallelMatchesSequentialBitwise) {
-  const unsigned threads = GetParam();
-  const NodeId kMiddle = 1500;
-  const NodeId t = kMiddle + 1;
-  auto build = [](FlowNetwork& net) {
-    Rng rng(1234);
-    const NodeId middle = 1500;
-    for (NodeId v = 0; v < middle; ++v) {
-      net.AddArc(0, v + 1, static_cast<int64_t>(1 + rng.NextBounded(6)));
-      net.AddArc(v + 1, middle + 1,
-                 static_cast<int64_t>(1 + rng.NextBounded(4)));
-    }
-    for (NodeId v = 0; v < middle; ++v) {
-      const NodeId w = static_cast<NodeId>(rng.NextBounded(middle));
-      if (w != v) {
-        net.AddArc(v + 1, w + 1, static_cast<int64_t>(rng.NextBounded(3)));
-      }
-    }
-  };
-  FlowNetwork sequential(kMiddle + 2);
-  build(sequential);
-  const int64_t expected = sequential.MaxFlow(0, t);
-  const std::vector<NodeId> expected_cut = sequential.MinCutSourceSide(0);
-  const std::vector<NodeId> expected_maximal =
-      sequential.MaximalMinCutSourceSide(t);
-
-  FlowNetwork parallel(kMiddle + 2);
-  build(parallel);
-  const ExecutionContext ctx = ExecutionContext().WithThreads(threads);
-  EXPECT_EQ(parallel.MaxFlow(0, t, ctx), expected);
-  EXPECT_EQ(parallel.MinCutSourceSide(0), expected_cut);
-  EXPECT_EQ(parallel.MaximalMinCutSourceSide(t), expected_maximal);
-  // Re-solve under the same parallel context: same answer again.
-  EXPECT_EQ(parallel.MaxFlow(0, t, ctx), expected);
-  EXPECT_EQ(parallel.MinCutSourceSide(0), expected_cut);
-  EXPECT_EQ(parallel.MaximalMinCutSourceSide(t), expected_maximal);
+TEST(PushRelabel, SingleEdge) {
+  FlowNetwork net(2);
+  MaxFlowNetwork dinic(2);
+  net.AddArc(0, 1, 5);
+  dinic.AddArc(0, 1, 5.0);
+  EXPECT_EQ(net.MaxFlow(0, 1), 5);
+  EXPECT_EQ(dinic.MaxFlow(0, 1), 5.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, FlowNetworkParallelTest,
-                         ::testing::Values(2u, 4u));
+TEST(PushRelabel, SeriesParallel) {
+  FlowNetwork net(4);
+  net.AddArc(0, 1, 2);
+  net.AddArc(1, 3, 1);
+  net.AddArc(0, 2, 3);
+  net.AddArc(2, 3, 4);
+  EXPECT_EQ(net.MaxFlow(0, 3), 4);
+  EXPECT_EQ(net.MinCutSourceSide(0), (std::vector<NodeId>{0, 1}));
+}
+
+TEST(PushRelabel, ClassicCLRSExample) {
+  // CLRS figure 26.1 with the cut side Dinic finds.
+  FlowNetwork net(6);
+  MaxFlowNetwork dinic(6);
+  for (const auto& [u, v, c] : std::vector<std::tuple<int, int, int>>{
+           {0, 1, 16}, {0, 2, 13}, {1, 2, 10}, {2, 1, 4}, {1, 3, 12},
+           {3, 2, 9}, {2, 4, 14}, {4, 3, 7}, {3, 5, 20}, {4, 5, 4}}) {
+    net.AddArc(u, v, c);
+    dinic.AddArc(u, v, c);
+  }
+  EXPECT_EQ(net.MaxFlow(0, 5), 23);
+  EXPECT_EQ(dinic.MaxFlow(0, 5), 23.0);
+  EXPECT_EQ(net.MinCutSourceSide(0), dinic.MinCutSourceSide(0));
+}
+
+TEST(PushRelabel, Disconnected) {
+  FlowNetwork net(4);
+  net.AddArc(0, 1, 10);
+  net.AddArc(2, 3, 10);
+  EXPECT_EQ(net.MaxFlow(0, 3), 0);
+  EXPECT_EQ(net.stats().pushes, 0u);
+}
+
+TEST(PushRelabel, SetCapacityRetunes) {
+  FlowNetwork net(3);
+  const auto a = net.AddArc(0, 1, 1);
+  net.AddArc(1, 2, 10);
+  EXPECT_EQ(net.MaxFlow(0, 2), 1);
+  net.SetCapacity(a, 7);
+  EXPECT_EQ(net.MaxFlow(0, 2), 7);
+}
+
+TEST(PushRelabel, MinCutSeparates) {
+  FlowNetwork net(5);
+  net.AddArc(0, 1, 5);
+  net.AddArc(1, 2, 1);
+  net.AddArc(2, 3, 5);
+  net.AddArc(3, 4, 5);
+  EXPECT_EQ(net.MaxFlow(0, 4), 1);
+  EXPECT_EQ(net.MinCutSourceSide(0), (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(net.MaximalMinCutSourceSide(4), (std::vector<NodeId>{0, 1}));
+}
+
+class PushRelabelVsDinicTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PushRelabelVsDinicTest, FlowValuesAgree) {
+  Rng rng(GetParam() * 7919 + 13);
+  const int n = 2 + static_cast<int>(rng.NextBounded(14));
+  MaxFlowNetwork dinic(n);
+  FlowNetwork net(n);
+  for (int u = 0; u < n; ++u) {
+    for (int v = 0; v < n; ++v) {
+      if (u != v && rng.NextBernoulli(0.35)) {
+        const int64_t c = static_cast<int64_t>(rng.NextBounded(12));
+        dinic.AddArc(u, v, static_cast<double>(c));
+        net.AddArc(u, v, c);
+      }
+    }
+  }
+  EXPECT_EQ(static_cast<double>(net.MaxFlow(0, n - 1)),
+            dinic.MaxFlow(0, n - 1))
+      << "n=" << n;
+}
+
+TEST_P(PushRelabelVsDinicTest, CutsAreBothMinimum) {
+  // The minimal source side's cut capacity equals the flow, and Dinic
+  // finds the same value.
+  Rng rng(GetParam() * 104729 + 7);
+  const int n = 3 + static_cast<int>(rng.NextBounded(10));
+  std::vector<std::tuple<int, int, int64_t>> arcs;
+  MaxFlowNetwork dinic(n);
+  FlowNetwork net(n);
+  for (int u = 0; u < n; ++u) {
+    for (int v = 0; v < n; ++v) {
+      if (u != v && rng.NextBernoulli(0.4)) {
+        const int64_t c = 1 + static_cast<int64_t>(rng.NextBounded(9));
+        arcs.emplace_back(u, v, c);
+        dinic.AddArc(u, v, static_cast<double>(c));
+        net.AddArc(u, v, c);
+      }
+    }
+  }
+  const int64_t flow = net.MaxFlow(0, n - 1);
+  std::vector<char> in_side(n, 0);
+  for (const NodeId v : net.MinCutSourceSide(0)) in_side[v] = 1;
+  ASSERT_TRUE(in_side[0]);
+  ASSERT_FALSE(in_side[n - 1]);
+  int64_t cut = 0;
+  for (const auto& [u, v, c] : arcs) {
+    if (in_side[u] && !in_side[v]) cut += c;
+  }
+  EXPECT_EQ(cut, flow);
+  EXPECT_EQ(dinic.MaxFlow(0, n - 1), static_cast<double>(flow));
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, PushRelabelVsDinicTest,
+                         ::testing::Range(0, 40));
 
 }  // namespace
 }  // namespace dsd

@@ -239,16 +239,18 @@ TEST(ServerExecutorTest, LoneJobGetsTheWholeBudgetAndOverlapSplitsIt) {
   std::condition_variable cv;
   int started = 0;
   bool release = false;
-  std::vector<unsigned> grants;
+  std::vector<unsigned> grants(2, 0);
 
-  // Two jobs that both hold their slot until the other has started: the
-  // first to start sees running == 1 (grant 8), the second running == 2
-  // (grant 4).
+  // Two jobs that both hold their slot until the other has started. The
+  // executor pops them first in, first out and grants under its lock: job
+  // 0 sees running == 1 (grant 8), job 1 running == 2 (grant 4). Each job
+  // records its grant by submit index, since the two may reach this
+  // test's mutex in either order.
   for (int j = 0; j < 2; ++j) {
     ASSERT_TRUE(executor
-                    .Submit([&](unsigned budget) {
+                    .Submit([&, j](unsigned budget) {
                       std::unique_lock<std::mutex> lock(mutex);
-                      grants.push_back(budget);
+                      grants[j] = budget;
                       ++started;
                       cv.notify_all();
                       cv.wait(lock,
@@ -263,7 +265,6 @@ TEST(ServerExecutorTest, LoneJobGetsTheWholeBudgetAndOverlapSplitsIt) {
     cv.notify_all();
   }
   executor.Drain();
-  ASSERT_EQ(grants.size(), 2u);
   EXPECT_EQ(grants[0], 8u);  // lone job: the whole machine
   EXPECT_EQ(grants[1], 4u);  // overlapping job: an even split
 

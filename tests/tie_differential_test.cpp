@@ -139,8 +139,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 3)));
 
 TEST(LargeTieTest, ThreadsAndRepeatsAgreeOnPlantedUnion) {
-  // Large enough for the parallel discharge to engage on the whole-graph
-  // network; four K12s tie at edge density 5.5.
+  // A whole-graph network of over 3000 nodes; four K12s tie at edge
+  // density 5.5.
   const Graph g = PlantedTies(4, 12, 3000, 7);
   CliqueOracle edge(2);
   const std::vector<VertexId> planted = PlantedVertices(4, 12);
