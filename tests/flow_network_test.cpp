@@ -1,8 +1,9 @@
 // Tests for flow/flow_network: the integer-capacity push-relabel engine.
 // Known instances, minimal and maximal min-cut sides, retuning a reused
 // network, deadline truncation, reverse-arc-id rejection, the int64
-// capacity-sum guard, and flow values and cut capacities against the
-// Dinic reference (flow/max_flow.h) on known and random networks.
+// capacity-sum guard, identical answers at every thread budget, and flow
+// values and cut capacities against the Dinic reference (flow/max_flow.h)
+// on known and random networks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -250,6 +251,54 @@ TEST(FlowNetwork, CancelFlagTruncates) {
   cancelled.store(false);
   EXPECT_EQ(net.MaxFlow(0, 2, ctx), 1);
 }
+
+// A wide random bipartite network: s -> 1500 middle nodes -> t plus random
+// cross arcs. MaxFlow takes a thread budget through its ExecutionContext;
+// whatever the budget, the flow and both extreme cut sides must be bitwise
+// identical to the 1-thread run, and a second solve on the same object
+// must repeat them.
+class FlowNetworkParallelTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(FlowNetworkParallelTest, ParallelMatchesSequentialBitwise) {
+  const unsigned threads = GetParam();
+  const NodeId kMiddle = 1500;
+  const NodeId t = kMiddle + 1;
+  auto build = [](FlowNetwork& net) {
+    Rng rng(1234);
+    const NodeId middle = 1500;
+    for (NodeId v = 0; v < middle; ++v) {
+      net.AddArc(0, v + 1, static_cast<int64_t>(1 + rng.NextBounded(6)));
+      net.AddArc(v + 1, middle + 1,
+                 static_cast<int64_t>(1 + rng.NextBounded(4)));
+    }
+    for (NodeId v = 0; v < middle; ++v) {
+      const NodeId w = static_cast<NodeId>(rng.NextBounded(middle));
+      if (w != v) {
+        net.AddArc(v + 1, w + 1, static_cast<int64_t>(rng.NextBounded(3)));
+      }
+    }
+  };
+  FlowNetwork sequential(kMiddle + 2);
+  build(sequential);
+  const int64_t expected = sequential.MaxFlow(0, t);
+  const std::vector<NodeId> expected_cut = sequential.MinCutSourceSide(0);
+  const std::vector<NodeId> expected_maximal =
+      sequential.MaximalMinCutSourceSide(t);
+
+  FlowNetwork parallel(kMiddle + 2);
+  build(parallel);
+  const ExecutionContext ctx = ExecutionContext().WithThreads(threads);
+  EXPECT_EQ(parallel.MaxFlow(0, t, ctx), expected);
+  EXPECT_EQ(parallel.MinCutSourceSide(0), expected_cut);
+  EXPECT_EQ(parallel.MaximalMinCutSourceSide(t), expected_maximal);
+  // Re-solve under the same context: same answer again.
+  EXPECT_EQ(parallel.MaxFlow(0, t, ctx), expected);
+  EXPECT_EQ(parallel.MinCutSourceSide(0), expected_cut);
+  EXPECT_EQ(parallel.MaximalMinCutSourceSide(t), expected_maximal);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, FlowNetworkParallelTest,
+                         ::testing::Values(2u, 4u));
 
 // FlowNetwork (push-relabel) against Dinic.
 
