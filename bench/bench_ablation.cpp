@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md calls out:
+// Ablation benches for three design choices of the reproduction:
 //  (a) min-cut backend: the Dinic reference vs FlowNetwork, the
 //      integer-capacity push-relabel engine the exact solvers run on,
 //      on Goldberg EDS networks; exits non-zero if their flows differ;
@@ -116,7 +116,7 @@ void GroupingAblation() {
 }  // namespace dsd::bench
 
 int main() {
-  std::printf("Ablation benches for DESIGN.md's design choices\n");
+  std::printf("Ablation benches for the reproduction's design choices\n");
   const bool flows_equal = dsd::bench::FlowBackendAblation();
   dsd::bench::KernelAblation();
   dsd::bench::GroupingAblation();

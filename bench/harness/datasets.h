@@ -6,7 +6,8 @@
 // graphs), degree skew, and — where Table 5 / Figure 18 pins it down — the
 // size of the near-clique that forms its densest subgraph (e.g. Netscience's
 // kmax = 171 = C(19,2) betrays a 20-clique; S-DBLP's density column is
-// exactly a K13). See DESIGN.md §4 and EXPERIMENTS.md for the mapping.
+// exactly a K13). README.md's "Figures and tables" map names the bench
+// behind each paper figure and table that runs on these replicas.
 #ifndef DSD_BENCH_HARNESS_DATASETS_H_
 #define DSD_BENCH_HARNESS_DATASETS_H_
 

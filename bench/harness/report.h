@@ -1,6 +1,6 @@
 // Tiny fixed-width table / series printer for the reproduction binaries.
 // Every bench prints the same rows/series the paper's figure or table shows,
-// so EXPERIMENTS.md can be assembled straight from `bench_output.txt`.
+// so the reproduction's results can be read straight from `bench_output.txt`.
 #ifndef DSD_BENCH_HARNESS_REPORT_H_
 #define DSD_BENCH_HARNESS_REPORT_H_
 

@@ -45,7 +45,6 @@
 #include "dsd/motif_core.h"          // IWYU pragma: export
 #include "dsd/motif_oracle.h"        // IWYU pragma: export
 #include "dsd/oracle_factory.h"      // IWYU pragma: export
-#include "dsd/parallel_oracle.h"     // IWYU pragma: export
 #include "dsd/peel_app.h"            // IWYU pragma: export
 #include "dsd/query_densest.h"       // IWYU pragma: export
 #include "dsd/result.h"              // IWYU pragma: export

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "clique/clique_enumerator.h"
-#include "dsd/parallel_oracle.h"
 
 namespace dsd {
 
@@ -338,9 +337,9 @@ FlowSolverOr MakeEdsFlowSolver(const Graph& graph, const ExecutionContext& ctx,
 FlowSolverOr MakeCliqueFlowSolver(const Graph& graph, int h,
                                   const ExecutionContext& ctx,
                                   Density scale) {
-  // One dispatch path for the degree pass: the parallel oracle degrades to
-  // the sequential enumeration under a 1-thread context.
-  ParallelCliqueOracle oracle(h);
+  // One dispatch path for the degree pass: the oracle runs the sequential
+  // enumeration under a 1-thread context and the parallel kernels otherwise.
+  CliqueOracle oracle(h);
   return Checked(
       std::make_unique<CliqueFlowSolver>(graph, h,
                                          oracle.Degrees(graph, {}, ctx),

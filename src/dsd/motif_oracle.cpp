@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <unordered_map>
 
 #include "clique/clique_degree.h"
 #include "clique/clique_enumerator.h"
 #include "core/kcore.h"
 #include "graph/subgraph.h"
+#include "parallel/parallel_clique.h"
+#include "parallel/parallel_pattern.h"
+#include "parallel/parallel_peel.h"
 #include "pattern/special.h"
 #include "util/combinatorics.h"
 
@@ -48,18 +52,46 @@ std::string CliqueOracle::Name() const {
   return std::to_string(h_) + "-clique";
 }
 
-std::vector<uint64_t> CliqueOracle::DegreesImpl(const Graph& graph,
-                                                std::span<const char> alive,
-                                                const ExecutionContext&) const {
-  return CliqueDegreesWithin(graph, h_, alive);
+// Alive-masked clique queries reduce to whole-graph runs on the induced
+// alive subgraph, which keeps the parallel kernels' per-root partitioning
+// intact.
+
+std::vector<uint64_t> CliqueOracle::DegreesImpl(
+    const Graph& graph, std::span<const char> alive,
+    const ExecutionContext& ctx) const {
+  if (ctx.threads <= 1) return CliqueDegreesWithin(graph, h_, alive);
+  if (alive.empty()) return ParallelCliqueDegrees(graph, h_, ctx.threads);
+  Subgraph sub = InducedAliveSubgraph(graph, alive);
+  std::vector<uint64_t> local =
+      ParallelCliqueDegrees(sub.graph, h_, ctx.threads);
+  std::vector<uint64_t> degrees(graph.NumVertices(), 0);
+  for (VertexId i = 0; i < local.size(); ++i) {
+    degrees[sub.to_parent[i]] = local[i];
+  }
+  return degrees;
 }
 
 uint64_t CliqueOracle::CountInstancesImpl(const Graph& graph,
                                           std::span<const char> alive,
-                                          const ExecutionContext&) const {
-  if (alive.empty()) return CliqueEnumerator(graph, h_).Count();
-  Subgraph sub = InducedAliveSubgraph(graph, alive);
-  return CliqueEnumerator(sub.graph, h_).Count();
+                                          const ExecutionContext& ctx) const {
+  auto count = [&](const Graph& g) {
+    return ctx.threads <= 1 ? CliqueEnumerator(g, h_).Count()
+                            : ParallelCliqueCount(g, h_, ctx.threads);
+  };
+  if (alive.empty()) return count(graph);
+  return count(InducedAliveSubgraph(graph, alive).graph);
+}
+
+std::vector<uint64_t> CliqueOracle::CountPeelBatch(
+    const Graph& graph, std::span<const VertexId> frontier,
+    std::span<char> alive, const PeelCallback& cb,
+    const ExecutionContext& ctx) const {
+  if (ctx.threads <= 1 ||
+      !WorthParallelPeel(frontier.size(), graph.NumVertices())) {
+    return MotifOracle::CountPeelBatch(graph, frontier, alive, cb, ctx);
+  }
+  return ParallelCliquePeelBatch(graph, h_, frontier, alive, cb, ctx,
+                                 /*consume_alive=*/false);
 }
 
 uint64_t CliqueOracle::PeelVertex(const Graph& graph, VertexId v,
@@ -99,6 +131,10 @@ std::vector<InstanceGroup> CliqueOracle::Groups(
   return groups;
 }
 
+unsigned CliqueOracle::MaxUsefulThreads() const {
+  return std::numeric_limits<unsigned>::max();
+}
+
 std::vector<uint64_t> CliqueOracle::CoreNumberUpperBounds(
     const Graph& graph) const {
   CoreDecomposition decomposition = KCoreDecomposition(graph);
@@ -121,18 +157,34 @@ PatternOracle::PatternOracle(Pattern pattern, bool use_special_kernels)
 
 std::vector<uint64_t> PatternOracle::DegreesImpl(
     const Graph& graph, std::span<const char> alive,
-    const ExecutionContext&) const {
-  if (star_tails_ >= 2) return StarDegrees(graph, star_tails_, alive);
-  if (is_four_cycle_) return FourCycleDegrees(graph, alive);
-  return PatternMatcher(graph, plans_).Degrees(alive);
+    const ExecutionContext& ctx) const {
+  const unsigned t = ctx.threads;
+  if (star_tails_ >= 2) {
+    return t <= 1 ? StarDegrees(graph, star_tails_, alive)
+                  : ParallelStarDegrees(graph, star_tails_, alive, t);
+  }
+  if (is_four_cycle_) {
+    return t <= 1 ? FourCycleDegrees(graph, alive)
+                  : ParallelFourCycleDegrees(graph, alive, t);
+  }
+  return t <= 1 ? PatternMatcher(graph, plans_).Degrees(alive)
+                : ParallelPatternDegrees(graph, plans_, alive, t);
 }
 
 uint64_t PatternOracle::CountInstancesImpl(const Graph& graph,
                                            std::span<const char> alive,
-                                           const ExecutionContext&) const {
-  if (star_tails_ >= 2) return StarCount(graph, star_tails_, alive);
-  if (is_four_cycle_) return FourCycleCount(graph, alive);
-  return PatternMatcher(graph, plans_).CountInstances(alive);
+                                           const ExecutionContext& ctx) const {
+  const unsigned t = ctx.threads;
+  if (star_tails_ >= 2) {
+    return t <= 1 ? StarCount(graph, star_tails_, alive)
+                  : ParallelStarCount(graph, star_tails_, alive, t);
+  }
+  if (is_four_cycle_) {
+    return t <= 1 ? FourCycleCount(graph, alive)
+                  : ParallelFourCycleCount(graph, alive, t);
+  }
+  return t <= 1 ? PatternMatcher(graph, plans_).CountInstances(alive)
+                : ParallelPatternCount(graph, plans_, alive, t);
 }
 
 uint64_t PatternOracle::PeelVertex(const Graph& graph, VertexId v,
@@ -157,6 +209,36 @@ uint64_t PatternOracle::PeelVertex(const Graph& graph, VertexId v,
       [&](VertexId u, uint64_t count) { hits[u] += count; });
   for (const auto& [u, count] : hits) cb(u, count);
   return destroyed;
+}
+
+std::vector<uint64_t> PatternOracle::CountPeelBatch(
+    const Graph& graph, std::span<const VertexId> frontier,
+    std::span<char> alive, const PeelCallback& cb,
+    const ExecutionContext& ctx) const {
+  if (ctx.threads > 1) {
+    const bool closed_form = star_tails_ >= 2 || is_four_cycle_;
+    if (closed_form &&
+        WorthParallelPeel(frontier.size(), graph.NumVertices())) {
+      if (star_tails_ >= 2) {
+        return ParallelStarPeelBatch(graph, star_tails_, frontier, alive, cb,
+                                     ctx, /*consume_alive=*/false);
+      }
+      return ParallelFourCyclePeelBatch(graph, frontier, alive, cb, ctx,
+                                        /*consume_alive=*/false);
+    }
+    // The per-member generic peel is expensive enough that even small
+    // brackets win (WorthParallelGenericPeel's laxer ratio).
+    if (!closed_form &&
+        WorthParallelGenericPeel(frontier.size(), graph.NumVertices())) {
+      return ParallelPatternPeelBatch(graph, plans_, frontier, alive, cb, ctx,
+                                      /*consume_alive=*/false);
+    }
+  }
+  return MotifOracle::CountPeelBatch(graph, frontier, alive, cb, ctx);
+}
+
+unsigned PatternOracle::MaxUsefulThreads() const {
+  return std::numeric_limits<unsigned>::max();
 }
 
 std::vector<InstanceGroup> PatternOracle::Groups(

@@ -10,16 +10,17 @@
 // canonically with no automorphism division) with specialised star/4-cycle
 // kernels (appendix D).
 //
-// Execution policy is part of the interface: the hot queries (Degrees and
-// CountInstances — the calls the exact and core algorithms hammer on
-// shrinking subgraphs) take an ExecutionContext, and implementations may
-// dispatch on ctx.threads to the src/parallel/ kernels. The public methods
-// are non-virtual shells with a sequential default context, so call sites
-// that predate the context — and oracles that are inherently sequential —
-// are unaffected; implementations override the protected *Impl hooks.
-// Decorators (CachingOracle) and parallel implementations
-// (ParallelCliqueOracle) live in their own headers; MakeOracle in
-// dsd/oracle_factory.h assembles the right stack for a request.
+// Execution policy is part of the interface: the hot queries (Degrees,
+// CountInstances and CountPeelBatch — the calls the exact and core
+// algorithms hammer on shrinking subgraphs) take an ExecutionContext. One
+// class serves each motif family at every thread budget: CliqueOracle and
+// PatternOracle run their sequential code under a 1-thread context and
+// dispatch to the Section 6.3 kernels of src/parallel/ when ctx.threads >
+// 1, with bit-identical results either way. The public query methods are
+// non-virtual shells with a sequential default context; implementations
+// override the protected *Impl hooks. Decorators (CachingOracle) live in
+// their own headers; MakeOracle in dsd/oracle_factory.h assembles the
+// stack for a request.
 #ifndef DSD_DSD_MOTIF_ORACLE_H_
 #define DSD_DSD_MOTIF_ORACLE_H_
 
@@ -103,8 +104,9 @@ class MotifOracle {
   ///     calling thread and never concurrently.
   /// The default implementation loops PeelVertex under a DeadlinePoller
   /// (cancel checked per removal, clock sampled at ~1ms granularity);
-  /// parallel oracles shard the frontier across ctx.threads workers —
-  /// bit-identical by the fixed-order prefix-mask argument.
+  /// CliqueOracle and PatternOracle shard large brackets across
+  /// ctx.threads workers — bit-identical by the fixed-order prefix-mask
+  /// argument.
   virtual std::vector<uint64_t> CountPeelBatch(
       const Graph& graph, std::span<const VertexId> frontier,
       std::span<char> alive, const PeelCallback& cb,
@@ -163,8 +165,9 @@ class MotifOracle {
 /// Oracle for h-cliques (h >= 2). gamma(v) = C(core(v), h-1), which bounds
 /// the clique-core number: the (k, Psi)-core has min edge-degree f(k) with
 /// C(f(k), h-1) >= k, so every member sits in the f(k)-core.
-/// Sequential; ParallelCliqueOracle (dsd/parallel_oracle.h) derives from
-/// this and dispatches the hot queries to the Section 6.3 kernels.
+/// Under ctx.threads > 1 the hot queries run the kClist kernels of
+/// parallel/parallel_clique.h (instances partitioned by degeneracy-minimal
+/// root) and the clique frontier peel kernel of parallel/parallel_peel.h.
 class CliqueOracle : public MotifOracle {
  public:
   explicit CliqueOracle(int h);
@@ -174,10 +177,23 @@ class CliqueOracle : public MotifOracle {
   uint64_t PeelVertex(const Graph& graph, VertexId v,
                       std::span<const char> alive,
                       const PeelCallback& cb) const override;
+  /// Brackets worth the kernel's O(n) setup (WorthParallelPeel) go to the
+  /// parallel clique frontier kernel under a multi-thread context; smaller
+  /// ones keep the default PeelVertex loop. Either path returns the same
+  /// bits.
+  std::vector<uint64_t> CountPeelBatch(const Graph& graph,
+                                       std::span<const VertexId> frontier,
+                                       std::span<char> alive,
+                                       const PeelCallback& cb,
+                                       const ExecutionContext& ctx)
+      const override;
   std::vector<InstanceGroup> Groups(const Graph& graph,
                                     std::span<const char> alive) const override;
   std::vector<uint64_t> CoreNumberUpperBounds(
       const Graph& graph) const override;
+  /// No intrinsic cap: the kernels clamp per call by hardware concurrency
+  /// and work-item count, so any budget the caller resolved is usable.
+  unsigned MaxUsefulThreads() const override;
 
   int h() const { return h_; }
 
@@ -195,10 +211,11 @@ class CliqueOracle : public MotifOracle {
 /// Oracle for arbitrary connected patterns. Uses the closed-form star /
 /// 4-cycle kernels of appendix D when the pattern allows, the generic
 /// plan-compiled matcher otherwise (plans are compiled once at
-/// construction and shared by every query). Sequential;
-/// ParallelPatternOracle (dsd/parallel_oracle.h) derives from this and
-/// dispatches the hot queries — including generic PeelBatch — to the
-/// src/parallel/ pattern kernels on ctx.threads workers.
+/// construction and shared by every query). Under ctx.threads > 1 the hot
+/// queries take the same kernel branch on the parallel passes of
+/// parallel/parallel_pattern.h (per-root sharding of the matcher,
+/// per-vertex closed forms) and parallel/parallel_peel.h (frontier peel
+/// for every pattern family), so results match bit-for-bit.
 class PatternOracle : public MotifOracle {
  public:
   /// use_special_kernels = false forces the generic engine even for stars
@@ -210,10 +227,23 @@ class PatternOracle : public MotifOracle {
   uint64_t PeelVertex(const Graph& graph, VertexId v,
                       std::span<const char> alive,
                       const PeelCallback& cb) const override;
+  /// Under a multi-thread context, stars and 4-cycles take the closed-form
+  /// frontier kernels and every other pattern the generic rank-masked
+  /// kernel, each when the bracket is worth its setup (WorthParallelPeel /
+  /// the laxer WorthParallelGenericPeel); other brackets keep the default
+  /// PeelVertex loop. Every path returns the same bits.
+  std::vector<uint64_t> CountPeelBatch(const Graph& graph,
+                                       std::span<const VertexId> frontier,
+                                       std::span<char> alive,
+                                       const PeelCallback& cb,
+                                       const ExecutionContext& ctx)
+      const override;
   std::vector<InstanceGroup> Groups(const Graph& graph,
                                     std::span<const char> alive) const override;
   std::vector<uint64_t> CoreNumberUpperBounds(
       const Graph& graph) const override;
+  /// Same contract as CliqueOracle::MaxUsefulThreads.
+  unsigned MaxUsefulThreads() const override;
 
   const Pattern& pattern() const { return plans_.pattern(); }
 
@@ -223,17 +253,6 @@ class PatternOracle : public MotifOracle {
                                     const ExecutionContext& ctx) const override;
   uint64_t CountInstancesImpl(const Graph& graph, std::span<const char> alive,
                               const ExecutionContext& ctx) const override;
-
-  /// Kernel-dispatch state, shared with ParallelPatternOracle so the
-  /// parallel implementation takes exactly the same special-kernel branches
-  /// as this class (the bit-identical contract is per branch).
-  int star_tails() const { return star_tails_; }
-  bool four_cycle_kernel() const { return is_four_cycle_; }
-
-  /// The compiled plan set (instance semantics), shared with
-  /// ParallelPatternOracle so the sequential and parallel generic paths
-  /// drive the exact same plans.
-  const PatternPlanSet& plans() const { return plans_; }
 
  private:
   PatternPlanSet plans_;  // owns the pattern

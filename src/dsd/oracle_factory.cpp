@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "dsd/caching_oracle.h"
-#include "dsd/parallel_oracle.h"
 #include "pattern/pattern.h"
 
 namespace dsd {
@@ -31,29 +30,13 @@ constexpr NamedPattern kNamedPatterns[] = {
     {"basket", &Pattern::Basket},
 };
 
-std::unique_ptr<MotifOracle> BuildCliqueOracle(int h,
-                                               const OracleOptions& options) {
-  // The parallel oracle degrades gracefully to sequential under a 1-thread
-  // context, but picking the plain oracle for a sequential budget keeps the
-  // no-threads path byte-for-byte the pre-context code.
-  if (options.threads > 1) return std::make_unique<ParallelCliqueOracle>(h);
-  return std::make_unique<CliqueOracle>(h);
-}
-
-std::unique_ptr<MotifOracle> BuildPatternOracle(Pattern pattern,
-                                                const OracleOptions& options) {
-  // Same policy as the clique side: a thread budget > 1 selects the
-  // parallel pattern oracle (per-root sharding of the plan-compiled
-  // matcher, per-vertex parallel closed forms, and frontier peel kernels
-  // for every pattern family — generic motifs included, so the budget is
-  // honored end to end); a sequential budget keeps the plain oracle.
-  if (options.threads > 1) {
-    return std::make_unique<ParallelPatternOracle>(
-        std::move(pattern), options.use_special_kernels,
-        options.pattern_scratch_budget_bytes);
-  }
-  return std::make_unique<PatternOracle>(std::move(pattern),
-                                         options.use_special_kernels);
+// One oracle class per motif family serves every thread budget: the
+// oracles read ctx.threads per query, so the builders ignore
+// OracleOptions::threads.
+OracleFactory::Builder CliqueBuilder(int h) {
+  return [h](const OracleOptions&) -> std::unique_ptr<MotifOracle> {
+    return std::make_unique<CliqueOracle>(h);
+  };
 }
 
 void RegisterBuiltins(OracleFactory& factory) {
@@ -61,21 +44,18 @@ void RegisterBuiltins(OracleFactory& factory) {
     Status status = factory.Register(std::move(name), std::move(builder));
     (void)status;  // Built-in names are distinct by construction.
   };
-  add("edge", [](const OracleOptions& options) {
-    return BuildCliqueOracle(2, options);
-  });
-  add("triangle", [](const OracleOptions& options) {
-    return BuildCliqueOracle(3, options);
-  });
+  add("edge", CliqueBuilder(2));
+  add("triangle", CliqueBuilder(3));
   for (int h = kMinClique; h <= kMaxClique; ++h) {
-    add(std::to_string(h) + "-clique", [h](const OracleOptions& options) {
-      return BuildCliqueOracle(h, options);
-    });
+    add(std::to_string(h) + "-clique", CliqueBuilder(h));
   }
   for (const NamedPattern& pattern : kNamedPatterns) {
-    add(pattern.name, [make = pattern.make](const OracleOptions& options) {
-      return BuildPatternOracle(make(), options);
-    });
+    add(pattern.name,
+        [make = pattern.make](
+            const OracleOptions& options) -> std::unique_ptr<MotifOracle> {
+          return std::make_unique<PatternOracle>(make(),
+                                                 options.use_special_kernels);
+        });
   }
 }
 

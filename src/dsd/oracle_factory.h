@@ -5,10 +5,11 @@
 // registry maps motif names to builders, pre-populated with the paper's
 // vocabulary (h-cliques 2..9 with the edge/triangle aliases, and the named
 // patterns), and embedders may register their own motifs under fresh names.
-// The factory — not the caller — decides which implementation serves a
-// request: a thread budget > 1 picks the parallel kernels (clique and
-// pattern oracles alike), and the caching decorator is layered on top for
-// motifs whose queries are expensive enough to memoize. dsd::Solve routes every request
+// The factory — not the caller — assembles the stack for a request: one
+// oracle per motif family (CliqueOracle or PatternOracle, each of which
+// picks sequential or parallel kernels from the context's thread count per
+// query), with the caching decorator layered on top for motifs whose
+// queries are expensive enough to memoize. dsd::Solve routes every request
 // through here, so execution policy set on a SolveRequest reaches the
 // oracle without any call site knowing the concrete types.
 #ifndef DSD_DSD_ORACLE_FACTORY_H_
@@ -29,10 +30,10 @@ namespace dsd {
 
 /// How the oracle for one run should execute.
 struct OracleOptions {
-  /// Resolved worker-thread budget. > 1 selects implementations backed by
-  /// the src/parallel/ kernels: ParallelCliqueOracle for clique motifs and
-  /// ParallelPatternOracle for the named patterns; plugged-in motifs decide
-  /// for themselves in their builder.
+  /// Resolved worker-thread budget. The built-in oracles serve every
+  /// budget with one class (the run's ExecutionContext carries the count
+  /// they spend); plugged-in motifs may pick an implementation from it in
+  /// their builder.
   unsigned threads = 1;
 
   /// Wrap the oracle in a memoizing CachingOracle. Applied only to motifs
@@ -48,13 +49,6 @@ struct OracleOptions {
   /// PatternOracle toggle: false forces the generic embedding engine even
   /// for stars and 4-cycles (the bench_ablation baseline).
   bool use_special_kernels = true;
-
-  /// Per-worker scratch budget for pattern kernels that carry O(n) scratch
-  /// per worker (today: the 4-cycle two-path arrays). 0 = unbounded;
-  /// otherwise the worker count is clamped so total scratch stays within
-  /// budget (FourCycleScratchWorkerCap) — results are unaffected, only the
-  /// achievable parallelism. For memory-constrained deployments.
-  size_t pattern_scratch_budget_bytes = 0;
 };
 
 /// Name -> oracle-builder registry. Global() comes pre-populated with the
@@ -63,7 +57,7 @@ class OracleFactory {
  public:
   /// Builds the bare oracle for one registered name. The factory applies
   /// policy decorators (caching) on top, so builders only pick the concrete
-  /// implementation (e.g. sequential vs parallel) from the options.
+  /// implementation from the options.
   using Builder =
       std::function<std::unique_ptr<MotifOracle>(const OracleOptions&)>;
 

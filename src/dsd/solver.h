@@ -180,7 +180,7 @@ class SolverRegistry {
   std::vector<std::unique_ptr<Solver>> solvers_;
 };
 
-/// Builds the sequential oracle for a motif name: CliqueOracle for "edge" /
+/// Builds the oracle for a motif name: CliqueOracle for "edge" /
 /// "triangle" / "<h>-clique" (h in 2..9), PatternOracle for the named
 /// patterns. NotFound for names outside the vocabulary. Equivalent to
 /// MakeOracle(name) with default options — use MakeOracle (dsd/
@@ -192,7 +192,7 @@ std::vector<std::string> KnownMotifNames();
 
 /// Validates `request`, resolves its algorithm and motif, runs it, and
 /// returns the answer. The oracle is built through MakeOracle from the
-/// request's thread budget (parallel clique kernels when > 1) with caching
+/// request's thread budget (parallel kernels when > 1) with caching
 /// enabled, and the run executes under an ExecutionContext carrying the
 /// effective thread count and the time budget as a deadline. All failures
 /// surface as Status (NotFound for unknown algorithm/motif names,
@@ -203,9 +203,9 @@ StatusOr<SolveResponse> Solve(const Graph& graph, const SolveRequest& request);
 /// Same, but with a caller-supplied oracle — `request.motif` is ignored.
 /// For motifs the name vocabulary cannot express (e.g. a PatternOracle with
 /// special kernels disabled). The effective thread count is clamped by the
-/// supplied oracle's MaxUsefulThreads(), so a plain CliqueOracle runs
-/// sequentially — pass a ParallelCliqueOracle (or a MakeOracle product) to
-/// spend a thread budget.
+/// supplied oracle's MaxUsefulThreads(): a plain CliqueOracle or
+/// PatternOracle spends the whole budget, while an oracle that keeps
+/// MotifOracle's default of 1 runs sequentially.
 StatusOr<SolveResponse> Solve(const Graph& graph, const MotifOracle& oracle,
                               const SolveRequest& request);
 

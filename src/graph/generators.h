@@ -3,7 +3,8 @@
 // The paper evaluates on three GTgraph synthetics (SSCA, ER, R-MAT) plus ten
 // real SNAP/LAW graphs. This module implements the three synthetic families
 // directly, and Barabasi-Albert / planted-dense-subgraph generators used to
-// build offline replicas of the real datasets (see DESIGN.md section 4).
+// build offline replicas of the real datasets (bench/harness/datasets.h
+// lists them).
 #ifndef DSD_GRAPH_GENERATORS_H_
 #define DSD_GRAPH_GENERATORS_H_
 

@@ -7,11 +7,12 @@
 // CountInstances shard per root across ParallelForStrided workers, each
 // driving the folded per-level reductions (no embeddings are materialized,
 // and symmetry breaking means no automorphism division either). The
-// appendix-D closed-form kernels (stars, 4-cycle) are per-vertex formulas
-// and parallelise even more directly: each worker owns the output entries
-// of its strided vertices. Every kernel is bit-identical to its sequential
-// counterpart in pattern/ for every thread count: the only cross-worker
-// combination is uint64 addition, which commutes.
+// appendix-D closed forms (stars, 4-cycle) are per-vertex formulas and
+// parallelise even more directly: each worker runs the per-vertex routines
+// of pattern/special.h for its strided vertices and owns their output
+// entries. Every kernel is bit-identical to its sequential counterpart in
+// pattern/ for every thread count: the only cross-worker combination is
+// uint64 addition, which commutes.
 //
 // Thread counts are clamped by the root-vertex count (ResolveThreadCount's
 // 2-arg overload) so tiny graphs neither spawn idle workers nor allocate
@@ -27,9 +28,7 @@
 #ifndef DSD_PARALLEL_PARALLEL_PATTERN_H_
 #define DSD_PARALLEL_PARALLEL_PATTERN_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -63,21 +62,6 @@ uint64_t ParallelPatternCount(const Graph& graph, const PatternPlanSet& plans,
 uint64_t ParallelPatternCount(const Graph& graph, const Pattern& pattern,
                               std::span<const char> alive, unsigned threads);
 
-/// Worker-count cap implied by a per-worker scratch budget for the 4-cycle
-/// kernels, whose O(n) two-path scratch (a uint64 counter plus a touched-
-/// endpoint slot per vertex) is inherent to the appendix-D formula.
-/// budget_bytes = 0 means unbounded; otherwise at least one worker is
-/// always allowed (the sequential kernel needs the same scratch anyway).
-inline unsigned FourCycleScratchWorkerCap(uint64_t n, uint64_t budget_bytes) {
-  if (budget_bytes == 0 || n == 0) {
-    return std::numeric_limits<unsigned>::max();
-  }
-  const uint64_t per_worker = n * (sizeof(uint64_t) + sizeof(VertexId));
-  return static_cast<unsigned>(std::clamp<uint64_t>(
-      budget_bytes / per_worker, 1,
-      std::numeric_limits<unsigned>::max()));
-}
-
 /// Parallel StarDegrees (appendix D.1 closed form), x >= 2.
 std::vector<uint64_t> ParallelStarDegrees(const Graph& graph, int x,
                                           std::span<const char> alive,
@@ -88,20 +72,14 @@ uint64_t ParallelStarCount(const Graph& graph, int x,
                            std::span<const char> alive, unsigned threads);
 
 /// Parallel FourCycleDegrees (appendix D.2 two-path grouping). Each worker
-/// carries its own O(n) path-count scratch — inherent to the formula, so
-/// the worker count is clamped by `scratch_budget_bytes` (see
-/// FourCycleScratchWorkerCap; 0 = unbounded) on top of the usual hardware
-/// and vertex-count clamps. Results are independent of the clamp.
+/// carries its own O(n) path-count scratch.
 std::vector<uint64_t> ParallelFourCycleDegrees(const Graph& graph,
                                                std::span<const char> alive,
-                                               unsigned threads,
-                                               uint64_t scratch_budget_bytes =
-                                                   0);
+                                               unsigned threads);
 
-/// Parallel FourCycleCount (= sum of degrees / 4). Same scratch clamp.
+/// Parallel FourCycleCount (= sum of degrees / 4).
 uint64_t ParallelFourCycleCount(const Graph& graph,
-                                std::span<const char> alive, unsigned threads,
-                                uint64_t scratch_budget_bytes = 0);
+                                std::span<const char> alive, unsigned threads);
 
 }  // namespace dsd
 

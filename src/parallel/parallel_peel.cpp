@@ -7,8 +7,7 @@
 #include "clique/clique_degree.h"
 #include "parallel/chunked_accumulator.h"
 #include "parallel/parallel_for.h"
-#include "parallel/parallel_pattern.h"
-#include "util/combinatorics.h"
+#include "pattern/special.h"
 
 namespace dsd {
 
@@ -31,6 +30,29 @@ std::vector<uint32_t> BuildRanks(VertexId n,
   }
   return rank;
 }
+
+// The closed forms' aliveness under the rank mask: when member `my_rank`
+// is peeled, u counts as alive iff it is a live survivor or a bracket
+// member still waiting its turn.
+struct RankAlive {
+  std::span<const uint32_t> rank;
+  std::span<const char> alive;
+  uint32_t my_rank;
+  bool operator()(VertexId u) const {
+    return rank[u] == kNoRank ? alive[u] != 0 : rank[u] > my_rank;
+  }
+};
+
+// The closed forms' emit under the rank mask: stages survivor deltas only
+// (bracket members' own losses are moot — they leave with the bracket).
+struct SurvivorDeltas {
+  std::span<const uint32_t> rank;
+  ChunkedAccumulator& deltas;
+  unsigned worker;
+  void operator()(VertexId u, uint64_t count) const {
+    if (rank[u] == kNoRank && count > 0) deltas.Add(worker, u, count);
+  }
+};
 
 // Shared chunked driver: processes frontier ranks [0, b) in contiguous
 // chunks, polling the deadline between chunks, and returns the number of
@@ -126,7 +148,6 @@ std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
                                             const ExecutionContext& ctx,
                                             bool consume_alive) {
   assert(x >= 2);
-  const uint64_t ux = static_cast<uint64_t>(x);
   const VertexId n = graph.NumVertices();
   const size_t b = frontier.size();
   const unsigned t = ResolveThreadCount(ctx.threads, b);
@@ -135,42 +156,9 @@ std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
   ChunkedAccumulator deltas(n, t);
   const size_t processed =
       RunChunked(b, t, ctx, [&](unsigned worker, size_t i) {
-        const VertexId v = frontier[i];
-        const uint32_t my_rank = static_cast<uint32_t>(i);
-        // Mirror of StarPeelVertex (pattern/special.cpp) under the rank
-        // mask: u is alive for member i iff it survives the bracket or is
-        // a member of higher rank; v itself is "relevant" (it participates
-        // in the instances being destroyed) but never alive.
-        auto alive_i = [&](VertexId u) {
-          return rank[u] == kNoRank ? alive[u] != 0 : rank[u] > my_rank;
-        };
-        auto relevant = [&](VertexId w) { return w == v || alive_i(w); };
-        auto degree_with_v = [&](VertexId w) {
-          uint64_t d = 0;
-          for (VertexId u : graph.Neighbors(w)) d += relevant(u);
-          return d;
-        };
-        auto add = [&](VertexId u, uint64_t count) {
-          if (rank[u] == kNoRank && count > 0) deltas.Add(worker, u, count);
-        };
-        uint64_t dv = 0;
-        for (VertexId u : graph.Neighbors(v)) dv += alive_i(u);
-        uint64_t lost = Binomial(dv, ux);
-        for (VertexId u : graph.Neighbors(v)) {
-          if (!alive_i(u)) continue;
-          const uint64_t du = degree_with_v(u);
-          lost += Binomial(du - 1, ux - 1);
-          add(u, Binomial(dv - 1, ux - 1) + Binomial(du - 1, ux - 1));
-          if (du >= 2) {
-            const uint64_t shared = Binomial(du - 2, ux - 2);
-            if (shared > 0) {
-              for (VertexId w : graph.Neighbors(u)) {
-                if (w != v && alive_i(w)) add(w, shared);
-              }
-            }
-          }
-        }
-        destroyed[i] = lost;
+        const RankAlive is_alive{rank, alive, static_cast<uint32_t>(i)};
+        const SurvivorDeltas emit{rank, deltas, worker};
+        destroyed[i] = StarPeelAt(graph, x, frontier[i], is_alive, emit);
       });
   return FinishBatch(std::move(destroyed), processed, frontier, alive,
                      consume_alive, std::move(deltas), cb);
@@ -179,59 +167,22 @@ std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
 std::vector<uint64_t> ParallelFourCyclePeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb, const ExecutionContext& ctx,
-    uint64_t scratch_budget_bytes, bool consume_alive) {
+    bool consume_alive) {
   const VertexId n = graph.NumVertices();
   const size_t b = frontier.size();
-  // Same per-worker O(n) two-path scratch (hence the same budget clamp) as
-  // ParallelFourCycleDegrees.
-  const unsigned t =
-      std::min(ResolveThreadCount(ctx.threads, b),
-               FourCycleScratchWorkerCap(n, scratch_budget_bytes));
+  const unsigned t = ResolveThreadCount(ctx.threads, b);
   const std::vector<uint32_t> rank = BuildRanks(n, frontier);
   std::vector<uint64_t> destroyed(b, 0);
   ChunkedAccumulator deltas(n, t);
+  // Per-worker two-path scratch, as in ParallelFourCycleDegrees.
   std::vector<std::vector<uint64_t>> paths(t, std::vector<uint64_t>(n, 0));
-  std::vector<std::vector<VertexId>> endpoints(t);
+  std::vector<std::vector<VertexId>> touched(t);
   const size_t processed =
       RunChunked(b, t, ctx, [&](unsigned worker, size_t i) {
-        const VertexId v = frontier[i];
-        const uint32_t my_rank = static_cast<uint32_t>(i);
-        // Mirror of FourCyclePeelVertex (pattern/special.cpp) under the
-        // rank mask.
-        auto alive_i = [&](VertexId u) {
-          return rank[u] == kNoRank ? alive[u] != 0 : rank[u] > my_rank;
-        };
-        auto add = [&](VertexId u, uint64_t count) {
-          if (rank[u] == kNoRank && count > 0) deltas.Add(worker, u, count);
-        };
-        std::vector<uint64_t>& path_count = paths[worker];
-        std::vector<VertexId>& ends = endpoints[worker];
-        ends.clear();
-        for (VertexId u : graph.Neighbors(v)) {
-          if (!alive_i(u)) continue;
-          for (VertexId w : graph.Neighbors(u)) {
-            if (w == v || !alive_i(w)) continue;
-            if (path_count[w] == 0) ends.push_back(w);
-            ++path_count[w];
-          }
-        }
-        uint64_t lost = 0;
-        for (VertexId w : ends) {
-          const uint64_t pairs = path_count[w] * (path_count[w] - 1) / 2;
-          lost += pairs;
-          add(w, pairs);
-        }
-        for (VertexId u : graph.Neighbors(v)) {
-          if (!alive_i(u)) continue;
-          uint64_t u_lost = 0;
-          for (VertexId w : graph.Neighbors(u)) {
-            if (w == v || !alive_i(w)) continue;
-            u_lost += path_count[w] - 1;
-          }
-          add(u, u_lost);
-        }
-        for (VertexId w : ends) path_count[w] = 0;
-        destroyed[i] = lost;
+        const RankAlive is_alive{rank, alive, static_cast<uint32_t>(i)};
+        const SurvivorDeltas emit{rank, deltas, worker};
+        destroyed[i] = FourCyclePeelAt(graph, frontier[i], is_alive,
+                                       paths[worker], touched[worker], emit);
       });
   return FinishBatch(std::move(destroyed), processed, frontier, alive,
                      consume_alive, std::move(deltas), cb);

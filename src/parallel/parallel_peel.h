@@ -11,11 +11,9 @@
 //   - cliques: enumerate the cliques through member i among the bracket-
 //     start alive set and keep those whose minimum-rank member is i (the
 //     sequential loop would have destroyed exactly those at step i);
-//   - stars / 4-cycles: the appendix-D closed forms of
-//     pattern/special.cpp re-derived against the rank-aware aliveness
-//     predicate (deliberate mirror, like parallel_pattern.cpp — the two
-//     implementations stay independent so the differential suite compares
-//     real alternatives; edit them in step);
+//   - stars / 4-cycles: the per-vertex appendix-D routines of
+//     pattern/special.h (StarPeelAt, FourCyclePeelAt), instantiated with
+//     the rank-aware aliveness predicate and a survivor-only emit;
 //   - generic patterns: PatternMatcher::PeelContaining drives the compiled
 //     plans under the same rank mask, pruning branches through lower-rank
 //     members mid-extension (min-rank attribution without enumerating the
@@ -95,14 +93,12 @@ std::vector<uint64_t> ParallelStarPeelBatch(const Graph& graph, int x,
                                             const ExecutionContext& ctx,
                                             bool consume_alive = true);
 
-/// Batch 4-cycle peel (appendix D.2 two-path grouping). Workers carry the
-/// same O(n) two-path scratch as ParallelFourCycleDegrees, so the worker
-/// count is clamped by the same per-worker scratch budget
-/// (`scratch_budget_bytes`, 0 = unbounded; see FourCycleScratchWorkerCap).
+/// Batch 4-cycle peel (appendix D.2 two-path grouping). Each worker
+/// carries its own O(n) two-path scratch.
 std::vector<uint64_t> ParallelFourCyclePeelBatch(
     const Graph& graph, std::span<const VertexId> frontier,
     std::span<char> alive, const PeelCallback& cb, const ExecutionContext& ctx,
-    uint64_t scratch_budget_bytes = 0, bool consume_alive = true);
+    bool consume_alive = true);
 
 /// Batch peel for an arbitrary connected pattern via the compiled plans'
 /// rank-masked PeelContaining reduction. Workers share one PatternMatcher

@@ -22,8 +22,7 @@ class Pattern {
   /// Duplicate edges and self-loops are rejected (assert).
   Pattern(std::string name, int num_vertices, std::vector<Edge> edges);
 
-  // --- The paper's pattern vocabulary (Figure 7; see DESIGN.md §4 for the
-  // --- reconstruction of the figure-only shapes).
+  // --- The paper's pattern vocabulary (Figure 7).
 
   /// Single edge (2-clique).
   static Pattern EdgePattern();

@@ -23,9 +23,8 @@ StatusOr<std::shared_ptr<const MotifOracle>> ResidentGraph::OracleFor(
 
   // Build outside the lock: plan compilation is cheap but not free, and a
   // request for an unknown motif must not stall every other lookup. The
-  // full hardware budget selects the parallel kernels; per-call
-  // ExecutionContext.threads (the executor's partition) decides what any
-  // one query spends.
+  // per-call ExecutionContext.threads (the executor's partition) decides
+  // what any one query spends.
   OracleOptions options;
   options.threads = hardware_threads_;
   options.cache = true;

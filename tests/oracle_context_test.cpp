@@ -1,9 +1,9 @@
-// Tests for the ExecutionContext-aware oracle API: the parallel clique
-// oracle must match the sequential oracle bit-for-bit for every motif size
-// and thread count, the caching decorator must memoize without ever serving
-// stale answers (the alive mask is part of the key), and the oracle factory
-// must assemble the right stack and report honest effective thread counts
-// through dsd::Solve.
+// Tests for the ExecutionContext-aware oracle API: the clique oracle's
+// threaded queries must match its sequential ones bit-for-bit for every
+// motif size and thread count, the caching decorator must memoize without
+// ever serving stale answers (the alive mask is part of the key), and the
+// oracle factory must assemble the right stack and report honest effective
+// thread counts through dsd::Solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +12,12 @@
 #include <memory>
 #include <thread>
 
+#include "clique/clique_enumerator.h"
 #include "dsd/caching_oracle.h"
 #include "dsd/core_exact.h"
 #include "dsd/execution_context.h"
 #include "dsd/motif_oracle.h"
 #include "dsd/oracle_factory.h"
-#include "dsd/parallel_oracle.h"
 #include "dsd/solver.h"
 #include "graph/generators.h"
 
@@ -70,9 +70,9 @@ TEST(ExecutionContextTest, CancelFlagStops) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelCliqueOracle parity: Degrees/CountInstances must match the
-// sequential CliqueOracle for every known clique size and thread count,
-// with and without an alive mask.
+// CliqueOracle thread parity: Degrees/CountInstances under a threaded
+// context must match the sequential context for every known clique size and
+// thread count, with and without an alive mask.
 
 class ParallelOracleParityTest
     : public ::testing::TestWithParam<std::tuple<int, unsigned>> {};
@@ -81,7 +81,7 @@ TEST_P(ParallelOracleParityTest, DegreesAndCountsMatchSequential) {
   auto [h, threads] = GetParam();
   Graph g = ParityGraph();
   CliqueOracle sequential(h);
-  ParallelCliqueOracle parallel(h);
+  CliqueOracle parallel(h);
   ExecutionContext ctx;
   ctx.threads = threads == 0 ? std::max(2u, std::thread::hardware_concurrency())
                              : threads;
@@ -107,22 +107,25 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ParallelOracleTest, SequentialContextFallsBackToBaseOracle) {
+  // One class serves every budget: it advertises an unbounded thread cap,
+  // and under the default (sequential) context it answers with the plain
+  // kClist enumeration.
   Graph g = ParityGraph();
-  ParallelCliqueOracle oracle(3);
-  CliqueOracle base(3);
-  EXPECT_EQ(oracle.Degrees(g, {}), base.Degrees(g, {}));
+  CliqueOracle oracle(3);
+  EXPECT_EQ(oracle.Degrees(g, {}), CliqueEnumerator(g, 3).Degrees());
+  EXPECT_EQ(oracle.CountInstances(g, {}), CliqueEnumerator(g, 3).Count());
   EXPECT_EQ(oracle.MaxUsefulThreads(), std::numeric_limits<unsigned>::max());
-  EXPECT_EQ(base.MaxUsefulThreads(), 1u);
+  PatternOracle pattern(Pattern::Diamond());
+  EXPECT_EQ(pattern.MaxUsefulThreads(), std::numeric_limits<unsigned>::max());
 }
 
 TEST(ParallelOracleTest, SolverParityUnderThreads) {
-  // End-to-end: CoreExact on a parallel oracle with a 4-thread context must
-  // produce the same subgraph as the sequential oracle.
+  // End-to-end: CoreExact with a 4-thread context must produce the same
+  // subgraph as the sequential context.
   Graph g = ParityGraph();
-  CliqueOracle sequential(4);
-  ParallelCliqueOracle parallel(4);
-  DensestResult serial = CoreExact(g, sequential);
-  DensestResult threaded = CoreExact(g, parallel, CoreExactOptions(),
+  CliqueOracle oracle(4);
+  DensestResult serial = CoreExact(g, oracle);
+  DensestResult threaded = CoreExact(g, oracle, CoreExactOptions(),
                                      ExecutionContext().WithThreads(4));
   EXPECT_EQ(serial.vertices, threaded.vertices);
   EXPECT_EQ(serial.instances, threaded.instances);
@@ -210,17 +213,23 @@ TEST(OracleFactoryTest, SequentialBudgetBuildsPlainCliqueOracle) {
       MakeOracle("triangle", options);
   ASSERT_TRUE(oracle.ok());
   EXPECT_NE(dynamic_cast<CliqueOracle*>(oracle.value().get()), nullptr);
-  EXPECT_EQ(dynamic_cast<ParallelCliqueOracle*>(oracle.value().get()), nullptr);
 }
 
-TEST(OracleFactoryTest, ThreadBudgetBuildsParallelCliqueOracle) {
+TEST(OracleFactoryTest, ThreadBudgetBuildsThreadedCliqueOracle) {
   OracleOptions options;
   options.threads = 4;
   StatusOr<std::unique_ptr<MotifOracle>> oracle =
       MakeOracle("4-clique", options);
   ASSERT_TRUE(oracle.ok());
-  EXPECT_NE(dynamic_cast<ParallelCliqueOracle*>(oracle.value().get()), nullptr);
+  EXPECT_NE(dynamic_cast<CliqueOracle*>(oracle.value().get()), nullptr);
   EXPECT_GT(oracle.value()->MaxUsefulThreads(), 1u);
+  // The threaded queries answer exactly as the sequential ones.
+  Graph g = ParityGraph();
+  const ExecutionContext ctx = ExecutionContext().WithThreads(4);
+  EXPECT_EQ(oracle.value()->Degrees(g, {}, ctx),
+            oracle.value()->Degrees(g, {}));
+  EXPECT_EQ(oracle.value()->CountInstances(g, {}, ctx),
+            CliqueEnumerator(g, 4).Count());
 }
 
 TEST(OracleFactoryTest, CacheOptionWrapsExpensiveMotifsOnly) {
@@ -251,24 +260,28 @@ TEST(OracleFactoryTest, CachedParallelStackKeepsCliqueIdentity) {
   EXPECT_GT(oracle.value()->MaxUsefulThreads(), 1u);
 }
 
-TEST(OracleFactoryTest, ThreadBudgetBuildsParallelPatternOracle) {
+TEST(OracleFactoryTest, ThreadBudgetBuildsThreadedPatternOracle) {
   OracleOptions options;
   options.threads = 8;
   StatusOr<std::unique_ptr<MotifOracle>> oracle =
       MakeOracle("diamond", options);
   ASSERT_TRUE(oracle.ok());
-  EXPECT_NE(dynamic_cast<ParallelPatternOracle*>(oracle.value().get()),
-            nullptr);
+  EXPECT_NE(dynamic_cast<PatternOracle*>(oracle.value().get()), nullptr);
   EXPECT_GT(oracle.value()->MaxUsefulThreads(), 1u);
-  // A sequential budget still builds the plain pattern oracle, keeping the
-  // no-threads path byte-for-byte the pre-context code.
+  // A sequential budget builds the same class; the budget lives in the
+  // context, and every budget answers alike.
   options.threads = 1;
   StatusOr<std::unique_ptr<MotifOracle>> sequential =
       MakeOracle("diamond", options);
   ASSERT_TRUE(sequential.ok());
-  EXPECT_EQ(dynamic_cast<ParallelPatternOracle*>(sequential.value().get()),
-            nullptr);
-  EXPECT_EQ(sequential.value()->MaxUsefulThreads(), 1u);
+  EXPECT_NE(dynamic_cast<PatternOracle*>(sequential.value().get()), nullptr);
+  Graph g = ParityGraph();
+  const std::vector<char> alive = ThinnedMask(g);
+  const ExecutionContext ctx = ExecutionContext().WithThreads(8);
+  EXPECT_EQ(oracle.value()->Degrees(g, alive, ctx),
+            sequential.value()->Degrees(g, alive));
+  EXPECT_EQ(oracle.value()->CountInstances(g, alive, ctx),
+            sequential.value()->CountInstances(g, alive));
 }
 
 TEST(OracleFactoryTest, NamesMatchKnownMotifNames) {
@@ -338,6 +351,16 @@ TEST(SolveThreadsTest, PatternMotifsSpendTheBudget) {
   }
 }
 
+// An oracle that keeps MotifOracle's default MaxUsefulThreads() == 1, as a
+// sequential plug-in would.
+class SequentialTriangleOracle : public CliqueOracle {
+ public:
+  SequentialTriangleOracle() : CliqueOracle(3) {}
+  unsigned MaxUsefulThreads() const override {
+    return MotifOracle::MaxUsefulThreads();
+  }
+};
+
 TEST(SolveThreadsTest, SequentialOracleClampsToOne) {
   // A caller-supplied sequential oracle clamps the effective count: the
   // budget is only reported where it can actually be spent.
@@ -345,7 +368,8 @@ TEST(SolveThreadsTest, SequentialOracleClampsToOne) {
   SolveRequest request;
   request.algorithm = "peel";
   request.threads = 4;
-  CliqueOracle oracle(3);
+  SequentialTriangleOracle oracle;
+  ASSERT_EQ(oracle.MaxUsefulThreads(), 1u);
   request.motif = "ignored";
   StatusOr<SolveResponse> solved = Solve(g, oracle, request);
   ASSERT_TRUE(solved.ok());

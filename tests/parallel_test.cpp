@@ -12,7 +12,6 @@
 #include "core/nucleus.h"
 #include "dsd/motif_core.h"
 #include "dsd/motif_oracle.h"
-#include "dsd/parallel_oracle.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "parallel/parallel_clique.h"
@@ -270,6 +269,14 @@ TEST_P(ParallelPeelBatchTest, StarBatchMatchesSequentialLoop) {
           return oracle.PeelBatch(g, f, {mask.data(), mask.size()}, cb,
                                   ExecutionContext());
         });
+    // The closed form has one body, shared by both runs above and below;
+    // the generic plan-compiled engine is the independent reference.
+    PatternOracle generic(Pattern::Star(x), /*use_special_kernels=*/false);
+    BatchResult reference = RunBatch(
+        frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
+          return generic.PeelBatch(g, f, {mask.data(), mask.size()}, cb,
+                                   ExecutionContext());
+        });
     ExecutionContext ctx;
     ctx.threads = threads == 0 ? 8 : threads;
     BatchResult parallel = RunBatch(
@@ -277,10 +284,12 @@ TEST_P(ParallelPeelBatchTest, StarBatchMatchesSequentialLoop) {
           return ParallelStarPeelBatch(g, x, f, {mask.data(), mask.size()},
                                        cb, ctx);
         });
-    EXPECT_EQ(parallel.destroyed, sequential.destroyed) << "x=" << x;
-    EXPECT_EQ(parallel.survivor_deltas, sequential.survivor_deltas)
-        << "x=" << x;
-    EXPECT_EQ(parallel.alive_after, sequential.alive_after) << "x=" << x;
+    for (const BatchResult* expected : {&sequential, &reference}) {
+      EXPECT_EQ(parallel.destroyed, expected->destroyed) << "x=" << x;
+      EXPECT_EQ(parallel.survivor_deltas, expected->survivor_deltas)
+          << "x=" << x;
+      EXPECT_EQ(parallel.alive_after, expected->alive_after) << "x=" << x;
+    }
   }
 }
 
@@ -296,19 +305,24 @@ TEST_P(ParallelPeelBatchTest, FourCycleBatchMatchesSequentialLoop) {
         return oracle.PeelBatch(g, f, {mask.data(), mask.size()}, cb,
                                 ExecutionContext());
       });
+  // Independent reference: the generic plan-compiled engine.
+  PatternOracle generic(Pattern::Cycle(4), /*use_special_kernels=*/false);
+  BatchResult reference = RunBatch(
+      frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
+        return generic.PeelBatch(g, f, {mask.data(), mask.size()}, cb,
+                                 ExecutionContext());
+      });
   ExecutionContext ctx;
   ctx.threads = threads == 0 ? 8 : threads;
-  for (uint64_t budget : {uint64_t{0}, uint64_t{1} << 12, uint64_t{1} << 30}) {
-    BatchResult parallel = RunBatch(
-        frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
-          return ParallelFourCyclePeelBatch(g, f, {mask.data(), mask.size()},
-                                            cb, ctx, budget);
-        });
-    EXPECT_EQ(parallel.destroyed, sequential.destroyed) << "budget=" << budget;
-    EXPECT_EQ(parallel.survivor_deltas, sequential.survivor_deltas)
-        << "budget=" << budget;
-    EXPECT_EQ(parallel.alive_after, sequential.alive_after)
-        << "budget=" << budget;
+  BatchResult parallel = RunBatch(
+      frontier, alive, [&](auto f, auto& mask, const PeelCallback& cb) {
+        return ParallelFourCyclePeelBatch(g, f, {mask.data(), mask.size()}, cb,
+                                          ctx);
+      });
+  for (const BatchResult* expected : {&sequential, &reference}) {
+    EXPECT_EQ(parallel.destroyed, expected->destroyed);
+    EXPECT_EQ(parallel.survivor_deltas, expected->survivor_deltas);
+    EXPECT_EQ(parallel.alive_after, expected->alive_after);
   }
 }
 
@@ -379,7 +393,7 @@ TEST(ParallelPeelStress, DecompositionUnderOversubscribedBrackets) {
   const MotifCoreDecomposition baseline =
       MotifCoreDecompose(g, CliqueOracle(3));
   for (unsigned threads : {16u, 32u}) {
-    ParallelCliqueOracle oracle(3);
+    CliqueOracle oracle(3);
     ExecutionContext ctx;
     ctx.threads = threads;
     const MotifCoreDecomposition d = MotifCoreDecompose(g, oracle, ctx);
@@ -390,7 +404,7 @@ TEST(ParallelPeelStress, DecompositionUnderOversubscribedBrackets) {
   // Star brackets drive the weighted (binomial-count) accumulator adds.
   const MotifCoreDecomposition star_baseline =
       MotifCoreDecompose(g, PatternOracle(Pattern::TwoStar()));
-  ParallelPatternOracle star(Pattern::TwoStar());
+  PatternOracle star(Pattern::TwoStar());
   ExecutionContext ctx;
   ctx.threads = 16;
   const MotifCoreDecomposition d = MotifCoreDecompose(g, star, ctx);
@@ -407,7 +421,7 @@ TEST(ParallelPeelStress, GenericPeelUnderOversubscribedBrackets) {
   const MotifCoreDecomposition baseline =
       MotifCoreDecompose(g, PatternOracle(Pattern::C3Star()));
   for (unsigned threads : {16u, 32u}) {
-    ParallelPatternOracle oracle(Pattern::C3Star());
+    PatternOracle oracle(Pattern::C3Star());
     ExecutionContext ctx;
     ctx.threads = threads;
     const MotifCoreDecomposition d = MotifCoreDecompose(g, oracle, ctx);
@@ -470,39 +484,6 @@ TEST(ParallelPatternHubSplit, RootSlicesPartitionEmbeddings) {
           s, slices);
     }
     EXPECT_EQ(sliced_total, full) << slices;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Four-cycle scratch budget: the worker-count clamp and its no-op effect on
-// results.
-
-TEST(FourCycleScratchBudget, CapMath) {
-  // 0 = unbounded, and a budget always admits at least one worker.
-  EXPECT_EQ(FourCycleScratchWorkerCap(1000, 0),
-            std::numeric_limits<unsigned>::max());
-  const uint64_t per_worker = 1000 * (sizeof(uint64_t) + sizeof(VertexId));
-  EXPECT_EQ(FourCycleScratchWorkerCap(1000, 4 * per_worker), 4u);
-  EXPECT_EQ(FourCycleScratchWorkerCap(1000, per_worker - 1), 1u);
-  EXPECT_EQ(FourCycleScratchWorkerCap(1000, 1), 1u);
-}
-
-TEST(FourCycleScratchBudget, ClampedKernelMatchesUnclamped) {
-  Graph g = gen::ErdosRenyi(120, 0.1, 77);
-  std::vector<char> alive(g.NumVertices(), 1);
-  for (VertexId v = 0; v < g.NumVertices(); v += 6) alive[v] = 0;
-  const std::vector<uint64_t> expected = FourCycleDegrees(g, alive);
-  const uint64_t per_worker =
-      g.NumVertices() * (sizeof(uint64_t) + sizeof(VertexId));
-  // A budget for exactly 2 workers under an 8-thread request clamps to 2;
-  // a 1-worker budget degrades to the sequential path. Results never move.
-  EXPECT_EQ(FourCycleScratchWorkerCap(g.NumVertices(), 2 * per_worker), 2u);
-  for (uint64_t budget : {uint64_t{0}, 2 * per_worker, per_worker / 2}) {
-    EXPECT_EQ(ParallelFourCycleDegrees(g, alive, 8, budget), expected)
-        << budget;
-    EXPECT_EQ(ParallelFourCycleCount(g, alive, 8, budget),
-              FourCycleCount(g, alive))
-        << budget;
   }
 }
 
